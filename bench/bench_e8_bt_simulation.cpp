@@ -11,7 +11,7 @@
 /// the harness keeps every worker busy across heterogeneous task sizes. Each
 /// point is an independent simulation; the tables are printed afterwards from
 /// the ordered result vector, and every model cost is bit-identical to a
-/// serial run (the executors guarantee this at any thread count).
+/// serial sweep (each point runs its executors serially).
 
 #include "algos/bitonic_sort.hpp"
 #include "algos/permutation.hpp"

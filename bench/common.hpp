@@ -69,8 +69,9 @@ public:
 
     /// Run \p fn, recording its wall time and the worker count it ran on as
     /// a provenance leg (written into the artifact's envelope by finish()).
-    /// Model costs stay bit-identical at every thread count, so the legs are
-    /// the only place the artifact reflects parallel execution at all.
+    /// Sweep points are independent serial runs, so model costs do not
+    /// depend on the pool size; the legs are the only place the artifact
+    /// reflects parallel execution at all.
     template <typename Fn>
     auto timed_leg(const std::string& name, Fn&& fn) {
         const auto start = std::chrono::steady_clock::now();

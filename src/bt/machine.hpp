@@ -30,10 +30,10 @@ using model::AccessFunction;
 using model::Addr;
 using model::Word;
 
-/// Private cost/telemetry accumulator for one execution shard of a parallel
-/// simulation round — the BT counterpart of hmm::ShardAccount (see there for
-/// the determinism argument). cost and word_access fold independently, the
-/// same decomposition Machine::read_range documents.
+/// Private cost/telemetry accumulator for one context executed by COMPUTE —
+/// the BT counterpart of hmm::ShardAccount (see there for the fold
+/// structure). cost and word_access fold independently, the same
+/// decomposition Machine::read_range documents.
 struct ShardAccount {
     double cost = 0.0;
     double word_access = 0.0;
@@ -90,13 +90,13 @@ public:
 
     /// Charge exactly what block_copy(src, dst, len) would charge — cost
     /// decomposition, transfer telemetry, and the trace event — WITHOUT
-    /// copying any data. The parallel BT simulator's charge walk replays the
-    /// data-independent movement schedule of a round through this during the
-    /// deterministic merge while the contexts execute in place.
+    /// copying any data. The BT simulator's COMPUTE walk charges its movement
+    /// schedule, a net identity on memory, through this while the contexts
+    /// execute in place.
     void charge_transfer(Addr src, Addr dst, std::uint64_t len);
 
     /// Fold one shard's accumulators into the machine; the cost fold is the
-    /// single add the merged trace mirror performs (Sink::merge_replay).
+    /// single add the sink's shard_end() performs.
     void merge_shard(const ShardAccount& account);
 
     /// --- accounting --------------------------------------------------------

@@ -79,11 +79,6 @@ struct DiffConfig {
     /// down-sampled profile must stay inside a wide sanity corridor of the
     /// exact one (broken rate correction, not sampling noise, trips it).
     bool check_locality = true;
-    /// Worker-thread counts for the parallel-execution axis. Every threaded
-    /// executor (direct, HMM, BT, naive HMM) re-runs at each count and must
-    /// reproduce its serial run exactly: bit-identical cost, bit-identical
-    /// trace mirror, identical final contexts. Empty disables the axis.
-    std::vector<std::size_t> threads{2, 4};
 };
 
 /// Run the full differential matrix on \p program. The program must satisfy

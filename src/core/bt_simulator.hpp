@@ -73,15 +73,6 @@ public:
         /// — or dummy-superstep for smoothing-inserted rounds. The sink's
         /// total() equals BtSimResult::bt_cost bit for bit.
         trace::Sink* trace = nullptr;
-        /// Worker threads for COMPUTE's independent context executions: 1
-        /// (default) = serial, 0 = util::default_threads() (DBSP_THREADS
-        /// env), N = exactly N. COMPUTE always runs as a charge walk plus
-        /// in-place executions merged in walk order, so bt_cost, its
-        /// decomposition, the trace mirror, and the final contexts are
-        /// bit-identical at every thread count. Delivery (sort/transpose)
-        /// stays serial: the merge sort charges per key comparison, which is
-        /// data-dependent and cannot be sharded without changing the stream.
-        std::size_t threads = 1;
     };
 
     explicit BtSimulator(model::AccessFunction f) : BtSimulator(std::move(f), Options{}) {}

@@ -5,15 +5,12 @@
 #include "core/hmm_shard.hpp"
 #include "model/superstep_exec.hpp"
 #include "util/contracts.hpp"
-#include "util/parallel.hpp"
 
 namespace dbsp::core {
 
 namespace {
 
-using model::Addr;
 using model::ProcId;
-using model::Word;
 
 }  // namespace
 
@@ -40,61 +37,32 @@ HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
     }
 
     // Pinned layout: processor p lives at block p forever, so delivery and
-    // step execution both charge at the physical address (vbase == pbase).
-    HmmShardSource<false> contexts_plain(machine, mu, nullptr);
-    HmmShardSource<true> contexts_traced(machine, mu, nullptr);
-    model::AccessorSource& contexts =
-        sink != nullptr ? static_cast<model::AccessorSource&>(contexts_traced)
-                        : static_cast<model::AccessorSource&>(contexts_plain);
-    model::DeliveryScratch scratch;
-
-    // Fixed-width shard state for the step loop; the blocking is part of the
-    // charging structure (same at every thread count), threads only decide
-    // how many blocks run concurrently.
-    const std::size_t threads =
-        options_.threads == 0 ? util::default_threads() : options_.threads;
-    const std::size_t nblocks =
-        static_cast<std::size_t>((v + model::kDeliveryShardProcs - 1) /
-                                 model::kDeliveryShardProcs);
-    std::vector<hmm::ShardAccount> exec_accounts(nblocks);
-    std::vector<trace::BufferSink> exec_buffers(sink != nullptr ? nblocks : 0);
-
+    // step execution both charge at the physical address (vbase == pbase),
+    // and both fold their charges in 64-processor blocks.
     HmmSimResult result;
     result.data_words = program.data_words();
-    for (model::StepIndex s = 0; s < steps; ++s) {
-        ++result.rounds;
-        auto exec_block = [&](std::size_t begin, std::size_t end) {
-            const std::size_t blk = begin / model::kDeliveryShardProcs;
-            hmm::ShardAccount& account = exec_accounts[blk];
-            trace::BufferSink* const buffer =
-                sink != nullptr ? &exec_buffers[blk] : nullptr;
-            for (std::size_t p = begin; p < end; ++p) {
-                const Addr base = static_cast<Addr>(p) * mu;
-                model::StepOutcome out;
-                if (sink != nullptr) {
-                    HmmShardAccessor<true> acc(machine, account, buffer, base, base, mu);
-                    out = model::run_processor_step(program, layout, tree, s,
-                                                    static_cast<ProcId>(p), acc);
-                    buffer->charge(static_cast<double>(out.ops));
-                } else {
-                    HmmShardAccessor<false> acc(machine, account, nullptr, base, base, mu);
-                    out = model::run_processor_step(program, layout, tree, s,
-                                                    static_cast<ProcId>(p), acc);
+    model::DeliveryScratch scratch;
+    const auto run = [&](auto& contexts) {
+        for (model::StepIndex s = 0; s < steps; ++s) {
+            ++result.rounds;
+            for (ProcId lo = 0; lo < v; lo += model::kFoldBlockProcs) {
+                contexts.begin_block();
+                for (ProcId p = lo; p < std::min(v, lo + model::kFoldBlockProcs); ++p) {
+                    const model::StepOutcome out =
+                        model::run_processor_step(program, layout, tree, s, p, contexts.at(p));
+                    contexts.charge(static_cast<double>(out.ops));  // unit op costs
                 }
-                account.cost += static_cast<double>(out.ops);  // unit op costs
+                contexts.end_block();
             }
-        };
-        util::parallel_for_blocked(v, model::kDeliveryShardProcs, exec_block, threads);
-        for (std::size_t blk = 0; blk < nblocks; ++blk) {
-            machine.merge_shard(exec_accounts[blk]);
-            exec_accounts[blk].clear();
-            if (sink != nullptr) {
-                sink->merge_replay(exec_buffers[blk]);
-                exec_buffers[blk].clear();
-            }
+            model::deliver_messages(layout, 0, v, contexts, program.proc_id_base(), &scratch);
         }
-        model::deliver_messages_sharded(layout, 0, v, contexts, program.proc_id_base(),
-                                        scratch, threads);
+    };
+    if (sink != nullptr) {
+        HmmShardSource<true> contexts(machine, mu, nullptr);
+        run(contexts);
+    } else {
+        HmmShardSource<false> contexts(machine, mu, nullptr);
+        run(contexts);
     }
 
     result.hmm_cost = machine.cost();

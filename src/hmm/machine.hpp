@@ -43,13 +43,14 @@ using model::AccessFunction;
 using model::Addr;
 using model::Word;
 
-/// Private cost/telemetry accumulator for one execution shard of a parallel
-/// simulation round. A shard folds its charges here (and its trace events
-/// into a trace::BufferSink) with exactly the machine's accumulation
-/// procedure, starting from zero; Machine::merge_shard then folds the
-/// account into the machine in deterministic cluster order. Because the
-/// shard structure and merge order are fixed — thread count only decides
-/// who executes a shard — totals are bit-identical at every thread count.
+/// Private cost/telemetry accumulator for one shard of a simulation: one
+/// executed context, or one 64-processor block of a delivery phase or of the
+/// naive step loop. The shard's accessors fold its charges here with
+/// exactly the machine's accumulation procedure, starting from zero, and
+/// Machine::merge_shard then adds the account to the machine once, while the
+/// attached sink folds the same events inside a Sink::shard_begin/shard_end
+/// bracket. This fold structure is part of what the charged totals are:
+/// changing it changes their low bits.
 struct ShardAccount {
     double cost = 0.0;
     std::uint64_t words_touched = 0;
@@ -119,15 +120,14 @@ public:
 
     /// Charge exactly what swap_blocks(a, b, len) would charge — cost, word
     /// touches, bulk telemetry, and the trace block_op event — WITHOUT
-    /// moving any data. Used by the parallel simulators: a pair of
-    /// swap-in/swap-out moves nets to the identity on memory, so the rounds
-    /// execute contexts in place and account the paper's movement cost here
-    /// during the deterministic merge.
+    /// moving any data. Used by the HMM simulator: a pair of swap-in/swap-out
+    /// moves nets to the identity on memory, so a round executes contexts in
+    /// place and charges the paper's movement cost here.
     void charge_swap_blocks(Addr a, Addr b, std::uint64_t len);
 
     /// Fold one shard's accumulators into the machine: the cost fold is the
-    /// single `cost_ += account.cost` the merged trace mirror also performs
-    /// (Sink::merge_replay), keeping the two bit-identical.
+    /// single `cost_ += account.cost` the sink's shard_end() also performs,
+    /// keeping the two bit-identical.
     void merge_shard(const ShardAccount& account);
 
     /// --- accounting --------------------------------------------------------

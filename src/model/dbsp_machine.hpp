@@ -58,14 +58,6 @@ public:
     /// Execute \p program to completion.
     DbspResult run(Program& program) const;
 
-    /// Worker threads for the per-processor step loop and the sharded
-    /// message delivery: 1 (default) = serial, 0 = util::default_threads()
-    /// (DBSP_THREADS env), N = exactly N. The superstep cost reductions are
-    /// integer maxima and delivery is functionally canonical, so the result
-    /// — time, per-superstep stats, contexts — is identical at every thread
-    /// count (bit for bit, not merely up to rounding).
-    void set_threads(std::size_t threads) { threads_ = threads; }
-
     /// Build the initial mu-word contexts for \p program (zeroed buffers,
     /// init()-filled data words). Shared with the simulators so every executor
     /// starts from the identical memory image.
@@ -85,7 +77,6 @@ public:
 private:
     AccessFunction g_;
     trace::Sink* trace_ = nullptr;  ///< not owned; nullptr = tracing off
-    std::size_t threads_ = 1;       ///< see set_threads
 };
 
 }  // namespace dbsp::model

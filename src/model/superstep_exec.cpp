@@ -5,7 +5,6 @@
 
 #include "report/metrics.hpp"
 #include "util/contracts.hpp"
-#include "util/parallel.hpp"
 
 namespace dbsp::model {
 
@@ -27,6 +26,7 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
     DeliveryScratch local;
     DeliveryScratch& sc = scratch ? *scratch : local;
     const bool bulk = bulk_access_enabled();
+    const std::uint64_t nblocks = (count + kFoldBlockProcs - 1) / kFoldBlockProcs;
 
     // Phase 1: collect messages from the senders' outgoing buffers, in
     // ascending sender order, and reset the outgoing counts. The intermediate
@@ -35,123 +35,29 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
     // message moved directly between buffers.
     std::vector<Message>& pending = sc.pending;
     pending.clear();
-    for (ProcId p = first; p < first + count; ++p) {
-        ContextAccessor& acc = contexts.at(p);
-        const auto sent = static_cast<std::size_t>(acc.get(layout.out_count_offset()));
-        DBSP_ASSERT(sent <= layout.max_messages);
-        if (bulk) {
-            // One range read covers the whole outgoing record block: the
-            // records are contiguous, and the fused per-cell charge loop
-            // walks the same ascending addresses as the per-word path.
-            sc.words.resize(ContextLayout::kRecordWords * sent);
-            acc.get_range(layout.out_record_offset(0), sc.words);
-            for (std::size_t k = 0; k < sent; ++k) {
-                const Word* rec = sc.words.data() + ContextLayout::kRecordWords * k;
-                Message m;
-                m.src = id_base + p;  // inboxes carry global source ids
-                m.dest = rec[0];
-                m.payload0 = rec[1];
-                m.payload1 = rec[2];
-                DBSP_ASSERT(m.dest >= first && m.dest < first + count);
-                pending.push_back(m);
-            }
-        } else {
-            for (std::size_t k = 0; k < sent; ++k) {
-                const std::size_t off = layout.out_record_offset(k);
-                Message m;
-                m.src = id_base + p;
-                m.dest = acc.get(off);
-                m.payload0 = acc.get(off + 1);
-                m.payload1 = acc.get(off + 2);
-                DBSP_ASSERT(m.dest >= first && m.dest < first + count);
-                pending.push_back(m);
-            }
-        }
-        if (sent > 0) {
-            acc.set(layout.out_count_offset(), 0);
-        }
-    }
-
-    // Batch-granularity telemetry: one update per delivery call, independent
-    // of how many messages moved.
-    static auto& metric_delivered = report::metric_counter("model.messages_delivered");
-    static auto& metric_batch = report::metric_histogram("model.delivery_batch");
-    metric_delivered.add(pending.size());
-    metric_batch.observe(pending.size());
-
-    // Phase 2: append to destination inboxes. `pending` is already sorted by
-    // (src, send order); appending in this order gives the canonical inbox
-    // ordering that the sort-based BT delivery reproduces with tag keys.
-    std::size_t max_received = 0;
-    sc.received.assign(count, 0);
-    for (const Message& m : pending) {
-        ContextAccessor& acc = contexts.at(m.dest);
-        auto in_count = static_cast<std::size_t>(acc.get(layout.in_count_offset()));
-        DBSP_REQUIRE(in_count < layout.max_messages);
-        const std::size_t off = layout.in_record_offset(in_count);
-        if (bulk) {
-            const Word rec[ContextLayout::kRecordWords] = {m.src, m.payload0, m.payload1};
-            acc.set_range(off, rec);
-        } else {
-            acc.set(off, m.src);
-            acc.set(off + 1, m.payload0);
-            acc.set(off + 2, m.payload1);
-        }
-        acc.set(layout.in_count_offset(), in_count + 1);
-        max_received = std::max(max_received, ++sc.received[m.dest - first]);
-    }
-    return max_received;
-}
-
-std::size_t deliver_messages_sharded(const ContextLayout& layout, ProcId first,
-                                     std::uint64_t count, AccessorSource& contexts,
-                                     ProcId id_base, DeliveryScratch& sc,
-                                     std::size_t threads) {
-    if (count == 0) return 0;
-    const std::uint64_t nshards = (count + kDeliveryShardProcs - 1) / kDeliveryShardProcs;
-
-    // (Re)build the shard sources when the scratch meets a new parent.
-    if (sc.shard_owner != &contexts) {
-        sc.shards.clear();
-        sc.shard_owner = &contexts;
-    }
-    while (sc.shards.size() < nshards) {
-        DeliveryShard shard;
-        shard.source = contexts.make_shard();
-        if (shard.source == nullptr) {
-            sc.shards.clear();
-            sc.shard_owner = nullptr;
-            return deliver_messages(layout, first, count, contexts, id_base, &sc);
-        }
-        sc.shards.push_back(std::move(shard));
-    }
-
-    const bool bulk = bulk_access_enabled();
-
-    // Phase 1: each sender shard collects its outgoing messages through its
-    // private source — the per-sender body is the serial protocol's,
-    // walking senders in ascending order within the shard.
-    auto collect = [&](std::size_t sh) {
-        DeliveryShard& shard = sc.shards[sh];
-        shard.pending.clear();
-        const ProcId lo = first + sh * kDeliveryShardProcs;
-        const ProcId hi = std::min<ProcId>(first + count, lo + kDeliveryShardProcs);
+    for (std::uint64_t b = 0; b < nblocks; ++b) {
+        const ProcId lo = first + b * kFoldBlockProcs;
+        const ProcId hi = std::min<ProcId>(first + count, lo + kFoldBlockProcs);
+        contexts.begin_block();
         for (ProcId p = lo; p < hi; ++p) {
-            ContextAccessor& acc = shard.source->at(p);
+            ContextAccessor& acc = contexts.at(p);
             const auto sent = static_cast<std::size_t>(acc.get(layout.out_count_offset()));
             DBSP_ASSERT(sent <= layout.max_messages);
             if (bulk) {
-                shard.words.resize(ContextLayout::kRecordWords * sent);
-                acc.get_range(layout.out_record_offset(0), shard.words);
+                // One range read covers the whole outgoing record block: the
+                // records are contiguous, and the fused per-cell charge loop
+                // walks the same ascending addresses as the per-word path.
+                sc.words.resize(ContextLayout::kRecordWords * sent);
+                acc.get_range(layout.out_record_offset(0), sc.words);
                 for (std::size_t k = 0; k < sent; ++k) {
-                    const Word* rec = shard.words.data() + ContextLayout::kRecordWords * k;
+                    const Word* rec = sc.words.data() + ContextLayout::kRecordWords * k;
                     Message m;
-                    m.src = id_base + p;
+                    m.src = id_base + p;  // inboxes carry global source ids
                     m.dest = rec[0];
                     m.payload0 = rec[1];
                     m.payload1 = rec[2];
                     DBSP_ASSERT(m.dest >= first && m.dest < first + count);
-                    shard.pending.push_back(m);
+                    pending.push_back(m);
                 }
             } else {
                 for (std::size_t k = 0; k < sent; ++k) {
@@ -162,43 +68,48 @@ std::size_t deliver_messages_sharded(const ContextLayout& layout, ProcId first,
                     m.payload0 = acc.get(off + 1);
                     m.payload1 = acc.get(off + 2);
                     DBSP_ASSERT(m.dest >= first && m.dest < first + count);
-                    shard.pending.push_back(m);
+                    pending.push_back(m);
                 }
             }
             if (sent > 0) {
                 acc.set(layout.out_count_offset(), 0);
             }
         }
-    };
-    util::parallel_for(nshards, collect, threads);
-
-    // Merge in ascending shard order: charges fold back into the parent, and
-    // concatenating the shard queues reproduces the serial protocol's
-    // canonical (src, send-order) pending sequence exactly.
-    sc.pending.clear();
-    for (std::uint64_t sh = 0; sh < nshards; ++sh) {
-        contexts.merge_shard(*sc.shards[sh].source);
-        sc.pending.insert(sc.pending.end(), sc.shards[sh].pending.begin(),
-                          sc.shards[sh].pending.end());
+        contexts.end_block();
     }
 
+    // Batch-granularity telemetry: one update per delivery call, independent
+    // of how many messages moved.
     static auto& metric_delivered = report::metric_counter("model.messages_delivered");
     static auto& metric_batch = report::metric_histogram("model.delivery_batch");
-    metric_delivered.add(sc.pending.size());
-    metric_batch.observe(sc.pending.size());
+    metric_delivered.add(pending.size());
+    metric_batch.observe(pending.size());
 
-    // Phase 2: bucket the canonical sequence by destination shard (stable, so
-    // every inbox still receives its messages in canonical order), append
-    // through the disjoint shard sources, then merge in shard order again.
-    for (std::uint64_t sh = 0; sh < nshards; ++sh) sc.shards[sh].pending.clear();
-    for (const Message& m : sc.pending) {
-        sc.shards[(m.dest - first) / kDeliveryShardProcs].pending.push_back(m);
+    // Phase 2: bucket the canonical sequence by destination block (a stable
+    // counting sort, so each inbox still receives its messages in (src,
+    // send-order) — the order the sort-based BT delivery reproduces with tag
+    // keys) and append block by block.
+    const auto block_of = [first](const Message& m) {
+        return static_cast<std::size_t>((m.dest - first) / kFoldBlockProcs);
+    };
+    sc.block_end.assign(nblocks, 0);
+    for (const Message& m : pending) ++sc.block_end[block_of(m)];
+    std::size_t offset = 0;
+    for (std::size_t& end : sc.block_end) {
+        offset += end;
+        end = offset - end;  // start of the block; the fill advances it to its end
     }
+    sc.by_block.resize(pending.size());
+    for (const Message& m : pending) sc.by_block[sc.block_end[block_of(m)]++] = m;
+
+    std::size_t max_received = 0;
     sc.received.assign(count, 0);
-    auto append = [&](std::size_t sh) {
-        DeliveryShard& shard = sc.shards[sh];
-        for (const Message& m : shard.pending) {
-            ContextAccessor& acc = shard.source->at(m.dest);
+    std::size_t begin = 0;
+    for (std::uint64_t b = 0; b < nblocks; ++b) {
+        contexts.begin_block();
+        for (std::size_t i = begin; i < sc.block_end[b]; ++i) {
+            const Message& m = sc.by_block[i];
+            ContextAccessor& acc = contexts.at(m.dest);
             auto in_count = static_cast<std::size_t>(acc.get(layout.in_count_offset()));
             DBSP_REQUIRE(in_count < layout.max_messages);
             const std::size_t off = layout.in_record_offset(in_count);
@@ -211,17 +122,10 @@ std::size_t deliver_messages_sharded(const ContextLayout& layout, ProcId first,
                 acc.set(off + 2, m.payload1);
             }
             acc.set(layout.in_count_offset(), in_count + 1);
-            ++sc.received[m.dest - first];
+            max_received = std::max(max_received, ++sc.received[m.dest - first]);
         }
-    };
-    util::parallel_for(nshards, append, threads);
-    for (std::uint64_t sh = 0; sh < nshards; ++sh) {
-        contexts.merge_shard(*sc.shards[sh].source);
-    }
-
-    std::size_t max_received = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        max_received = std::max(max_received, sc.received[i]);
+        contexts.end_block();
+        begin = sc.block_end[b];
     }
     return max_received;
 }

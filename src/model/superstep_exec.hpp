@@ -13,7 +13,6 @@
 ///    destination inboxes, then resets the sender's outgoing count, giving a
 ///    canonical (src, send-order) inbox ordering.
 
-#include <memory>
 #include <vector>
 
 #include "model/context_layout.hpp"
@@ -51,17 +50,13 @@ public:
     virtual ~AccessorSource() = default;
     virtual ContextAccessor& at(ProcId p) = 0;
 
-    /// Create an independent shard of this source for one worker of a
-    /// sharded delivery: its at() accessors touch the same underlying
-    /// storage but fold all charges/telemetry/trace events into private
-    /// accumulators. nullptr (the default) means the source cannot shard and
-    /// deliver_messages_sharded falls back to the serial protocol.
-    virtual std::unique_ptr<AccessorSource> make_shard() { return nullptr; }
-
-    /// Fold one shard's accumulators back into this source (called in
-    /// ascending shard order, serially) and clear the shard for reuse.
-    /// No-op for uncharged sources.
-    virtual void merge_shard(AccessorSource& shard) { (void)shard; }
+    /// Bracket one kFoldBlockProcs-wide block of processors (a delivery
+    /// phase walks its blocks inside these brackets). A charged source opens
+    /// a fresh block account at begin_block() and folds it once into its
+    /// machine (and attached sink) at end_block(); every accessor at() hands
+    /// out in between charges that account. No-ops for uncharged sources.
+    virtual void begin_block() {}
+    virtual void end_block() {}
 };
 
 /// AccessorSource over per-processor flat word vectors — the direct machine's
@@ -74,11 +69,6 @@ public:
         acc_.rebind(contexts_[p].data(), mu_);
         return acc_;
     }
-    /// Uncharged storage: a shard is just another rebindable accessor over
-    /// the same vectors, and merging is a no-op.
-    std::unique_ptr<AccessorSource> make_shard() override {
-        return std::make_unique<VectorAccessorSource>(contexts_, mu_);
-    }
 
 private:
     std::vector<std::vector<Word>>& contexts_;
@@ -86,29 +76,22 @@ private:
     FlatContextAccessor acc_{nullptr, 0};
 };
 
-/// Fixed shard width of the sharded delivery protocol: senders (phase 1) and
-/// destination inboxes (phase 2) are partitioned into runs of this many
-/// processors. The width is part of the charging structure — it never
-/// depends on the thread count, so charge totals cannot either.
-inline constexpr std::uint64_t kDeliveryShardProcs = 64;
-
-/// Per-shard state of a sharded delivery (kept in DeliveryScratch so the
-/// vectors and shard sources persist across supersteps).
-struct DeliveryShard {
-    std::vector<Message> pending;
-    std::vector<Word> words;
-    std::unique_ptr<AccessorSource> source;
-};
+/// Width of the fold blocks of the charged executors: delivery folds the
+/// charges of each run of this many senders (and, separately, destination
+/// inboxes) into one account, and the naive HMM step loop folds each run of
+/// this many processors the same way. The width is part of the charging
+/// structure — changing it changes the low bits of every charged total.
+inline constexpr std::uint64_t kFoldBlockProcs = 64;
 
 /// Reusable scratch space for deliver_messages. Executors that deliver every
 /// superstep keep one instance alive across the whole run so the message
-/// vector and the bulk-read staging buffer stop being reallocated per step.
+/// vectors and the bulk-read staging buffer stop being reallocated per step.
 struct DeliveryScratch {
-    std::vector<Message> pending;
+    std::vector<Message> pending;   ///< canonical (src, send-order) sequence
+    std::vector<Message> by_block;  ///< pending, stably bucketed by dest block
+    std::vector<std::size_t> block_end;
     std::vector<Word> words;
     std::vector<std::size_t> received;
-    std::vector<DeliveryShard> shards;
-    const AccessorSource* shard_owner = nullptr;  ///< parent the shards belong to
 };
 
 /// Process-wide switch for the bulk (range) accessor fast path in
@@ -141,24 +124,15 @@ private:
 /// carry global ids. Returns the maximum number of messages received by any
 /// processor. \p contexts provides context access for the local range;
 /// \p scratch (optional) lets callers reuse buffers across supersteps.
+///
+/// Both phases walk kFoldBlockProcs-wide blocks in ascending order, each
+/// inside a contexts.begin_block()/end_block() bracket: phase 1 reads the
+/// senders' outgoing records block by block, building the canonical
+/// (src, send-order) pending sequence; phase 2 appends the messages
+/// destined to each block in that canonical order, so every inbox receives
+/// its messages in (src, send-order).
 std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uint64_t count,
                              AccessorSource& contexts, ProcId id_base = 0,
                              DeliveryScratch* scratch = nullptr);
-
-/// Sharded variant of deliver_messages with identical functional behaviour
-/// (same inbox contents and ordering, same return value). Processors are
-/// partitioned into kDeliveryShardProcs-wide shards; phase 1 collects each
-/// sender shard's messages through a private shard source, phase 2 buckets
-/// the canonical pending sequence by destination shard and appends through
-/// the same shard sources, and after each phase the shards are merged back
-/// into \p contexts in ascending shard order. The sharded charging structure
-/// is unconditional — \p threads (>= 1, resolved by the caller) only decides
-/// how many workers execute the shard loops, so charged totals are
-/// bit-identical at every thread count. Falls back to the serial protocol
-/// when \p contexts cannot shard (AccessorSource::make_shard == nullptr).
-std::size_t deliver_messages_sharded(const ContextLayout& layout, ProcId first,
-                                     std::uint64_t count, AccessorSource& contexts,
-                                     ProcId id_base, DeliveryScratch& scratch,
-                                     std::size_t threads);
 
 }  // namespace dbsp::model

@@ -145,7 +145,6 @@ std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& option
         locality::LocalitySink loc(locality_options);
         trace::MultiSink multi{&loc, &span_sink};
         core::HmmSimulator::Options sim;
-        sim.threads = options.threads;
         const bool spans = obs != nullptr && obs->span != nullptr;
         if (options.locality && spans) {
             sim.trace = &multi;
@@ -180,7 +179,6 @@ std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& option
         locality::LocalitySink loc(locality_options);
         trace::MultiSink multi{&loc, &span_sink};
         core::BtSimulator::Options sim;
-        sim.threads = options.threads;
         const bool spans = obs != nullptr && obs->span != nullptr;
         if (options.locality && spans) {
             sim.trace = &multi;

@@ -217,7 +217,6 @@ bool Server::handle_line_stream(const std::string& line, const WriteFn& emit) {
     }
 
     runs_.fetch_add(1, std::memory_order_relaxed);
-    req.options.threads = options_.threads;
 
     span.begin("cache-probe");
     const std::string key = fingerprint(req.spec, req.options);
@@ -283,7 +282,6 @@ telemetry::ServerVitals Server::vitals() const {
         std::lock_guard<std::mutex> lock(connections_mutex_);
         v.connections = connection_fds_.size();
     }
-    v.threads_opt = options_.threads;
     return v;
 }
 

@@ -40,8 +40,6 @@ class Server {
 public:
     struct Options {
         std::string socket_path;
-        /// Simulator worker threads per run request: 0 = DBSP_THREADS env.
-        std::size_t threads = 0;
         /// ResultCache LRU bound; 0 disables memoization.
         std::size_t cache_entries = 128;
         /// Maximum request-line length; longer lines get a structured error

@@ -107,7 +107,6 @@ public:
     void block_transfer(trace::Addr, trace::Addr, std::uint64_t, double,
                         double) override {}
     void messages(std::uint64_t) override {}
-    void merge_replay(const trace::BufferSink&) override {}
     void shard_begin() override {}
     void shard_end() override {}
     void reset_total() override {}

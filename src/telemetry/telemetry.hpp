@@ -63,7 +63,6 @@ struct ServerVitals {
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_entries = 0;
     std::uint64_t connections = 0;  ///< currently open
-    std::uint64_t threads_opt = 0;  ///< configured simulator threads (0=env)
 };
 
 class Telemetry {

@@ -93,110 +93,6 @@ void Sink::phase_begin(Phase phase, unsigned label) { on_phase_begin(phase, labe
 
 void Sink::phase_end(Phase phase) { on_phase_end(phase, total_); }
 
-void Sink::merge_replay(const BufferSink& shard) {
-    // Replay drives attribution (per-level buckets, transfer and message
-    // hooks); event-wise folding of the total would round differently than
-    // the machine's account merge, so the total is overwritten with the same
-    // `saved + shard_total` sum the machine computes.
-    const double saved = total();
-    shard.replay(*this);
-    set_total(saved + shard.total());
-}
-
-void BufferSink::access(Addr x, double cost) {
-    Sink::access(x, cost);
-    Event e{};
-    e.kind = Kind::kAccess;
-    e.a = x;
-    e.x = cost;
-    events_.push_back(e);
-}
-
-void BufferSink::access_range(std::span<const double> prefix, Addr begin, Addr end) {
-    Sink::access_range(prefix, begin, end);
-    Event e{};
-    e.kind = Kind::kRange;
-    e.a = begin;
-    e.b = end;
-    e.prefix = prefix.data();
-    e.prefix_size = prefix.size();
-    events_.push_back(e);
-}
-
-void BufferSink::charge(double cost) {
-    Sink::charge(cost);
-    Event e{};
-    e.kind = Kind::kCharge;
-    e.x = cost;
-    events_.push_back(e);
-}
-
-void BufferSink::block_op(std::span<const double> prefix, double delta, unsigned touches,
-                          std::initializer_list<AddrRange> ranges) {
-    Sink::block_op(prefix, delta, touches, ranges);
-    DBSP_REQUIRE(ranges.size() <= 2);  // every emission site uses 1 or 2 ranges
-    Event e{};
-    e.kind = Kind::kBlockOp;
-    e.touches = touches;
-    e.nranges = static_cast<unsigned>(ranges.size());
-    e.x = delta;
-    e.prefix = prefix.data();
-    e.prefix_size = prefix.size();
-    const AddrRange* r = ranges.begin();
-    if (e.nranges > 0) e.r0 = r[0];
-    if (e.nranges > 1) e.r1 = r[1];
-    events_.push_back(e);
-}
-
-void BufferSink::block_transfer(Addr src, Addr dst, std::uint64_t len, double latency,
-                                double delta) {
-    Sink::block_transfer(src, dst, len, latency, delta);
-    Event e{};
-    e.kind = Kind::kTransfer;
-    e.a = src;
-    e.b = dst;
-    e.n = len;
-    e.y = latency;
-    e.x = delta;
-    events_.push_back(e);
-}
-
-void BufferSink::messages(std::uint64_t count) {
-    Sink::messages(count);
-    Event e{};
-    e.kind = Kind::kMessages;
-    e.n = count;
-    events_.push_back(e);
-}
-
-void BufferSink::replay(Sink& into) const {
-    for (const Event& e : events_) {
-        switch (e.kind) {
-            case Kind::kAccess: into.access(e.a, e.x); break;
-            case Kind::kRange:
-                into.access_range({e.prefix, e.prefix_size}, e.a, e.b);
-                break;
-            case Kind::kCharge: into.charge(e.x); break;
-            case Kind::kBlockOp:
-                if (e.nranges == 0) {
-                    into.block_op({e.prefix, e.prefix_size}, e.x, e.touches, {});
-                } else if (e.nranges == 1) {
-                    into.block_op({e.prefix, e.prefix_size}, e.x, e.touches, {e.r0});
-                } else {
-                    into.block_op({e.prefix, e.prefix_size}, e.x, e.touches, {e.r0, e.r1});
-                }
-                break;
-            case Kind::kTransfer: into.block_transfer(e.a, e.b, e.n, e.y, e.x); break;
-            case Kind::kMessages: into.messages(e.n); break;
-        }
-    }
-}
-
-void BufferSink::clear() {
-    events_.clear();
-    reset_total();
-}
-
 void MultiSink::access(Addr x, double cost) {
     Sink::access(x, cost);
     for (Sink* c : children_) c->access(x, cost);
@@ -238,18 +134,10 @@ void MultiSink::reset_total() {
     Sink::reset_total();
     for (Sink* c : children_) c->reset_total();
 }
-void MultiSink::merge_replay(const BufferSink& shard) {
-    // Each child overwrites its own total from the shard sum (the default
-    // would fold event-wise through the forwarding overrides and drift in
-    // the last ulps), then this sink's total advances by the same amount.
-    const double saved = total();
-    for (Sink* c : children_) c->merge_replay(shard);
-    set_total(saved + shard.total());
-}
 void MultiSink::shard_begin() {
-    // Bracket this sink's own total and every child's: each keeps folding
-    // the directly-delivered shard events through the forwarding overrides
-    // and rebases independently at shard_end, mirroring merge_replay.
+    // Bracket this sink's own total and every child's: each folds the
+    // shard's events through the forwarding overrides and rebases
+    // independently at shard_end.
     Sink::shard_begin();
     for (Sink* c : children_) c->shard_begin();
 }

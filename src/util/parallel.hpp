@@ -1,17 +1,14 @@
 #pragma once
 
 /// \file parallel.hpp
-/// Minimal persistent-pool parallel-for shared by the benchmark harness and
-/// the executors. Benchmarks use it across independent (access function,
-/// size) sweep points; the simulators use it to run the independent
-/// submachines of a D-BSP superstep concurrently (see
-/// docs in EXPERIMENTS.md: parallelism never changes what is charged — every
-/// executor folds costs through per-shard accumulators merged in a fixed
-/// order, so results are bit-identical at every thread count).
+/// Minimal persistent-pool parallel-for for running independent runs
+/// concurrently: the benchmark harness spreads its (access function, size)
+/// sweep points over it. The executors themselves are serial — each run
+/// charges one fixed schedule — so concurrency never touches what a run
+/// charges (EXPERIMENTS.md, "Execution and concurrency").
 ///
-/// The callable is a template parameter (no std::function allocation or
-/// per-index indirect call on the hot path); the type-erased trampoline
-/// hands contiguous index blocks to the pool.
+/// The callable is a template parameter (no std::function allocation); the
+/// type-erased trampoline hands one index at a time to the pool.
 
 #include <cstddef>
 #include <memory>
@@ -24,12 +21,12 @@ namespace dbsp::util {
 /// Strictly parse a thread-count override value: the entire string must be a
 /// positive base-10 integer (no sign, no trailing garbage, no empty string).
 /// Returns nullopt on any violation. Exposed for unit testing of the
-/// DBSP_BENCH_THREADS / DBSP_THREADS handling.
+/// DBSP_BENCH_THREADS handling.
 std::optional<std::size_t> parse_thread_count(std::string_view value);
 
 /// Number of worker threads parallel_for uses when `threads == 0`:
-/// the value of DBSP_BENCH_THREADS (or DBSP_THREADS) if set and valid per
-/// parse_thread_count, otherwise the hardware concurrency (at least 1).
+/// the value of DBSP_BENCH_THREADS if set and valid per parse_thread_count,
+/// otherwise the hardware concurrency (at least 1).
 /// An invalid value (e.g. "abc", "4x", "0") is ignored with a one-time
 /// warning on stderr.
 std::size_t default_threads();
@@ -48,48 +45,27 @@ PoolStats pool_stats();
 
 namespace detail {
 
-/// Type-erased chunk runner: invoke the callable at `ctx` for [begin, end).
-using ChunkFn = void (*)(void* ctx, std::size_t begin, std::size_t end);
+/// Type-erased runner: invoke the callable at `ctx` for index `i`.
+using IndexFn = void (*)(void* ctx, std::size_t i);
 
-/// Dispatch `n` indices in blocks of `grain` to up to `threads` participants
-/// (callers + pool workers). Runs inline when threads <= 1, when only one
-/// block exists, or when already inside a pool worker (nested calls never
-/// oversubscribe). The first exception thrown by any block is rethrown on
-/// the caller's thread after the job drains.
-void parallel_for_impl(std::size_t n, std::size_t grain, void* ctx, ChunkFn fn,
-                       std::size_t threads);
+/// Dispatch indices [0, n) to up to `threads` participants (caller + pool
+/// workers). Runs inline when threads <= 1, when n == 1, or when already
+/// inside a pool worker (nested calls never oversubscribe). The first
+/// exception thrown by any index is rethrown on the caller's thread after
+/// the job drains.
+void parallel_for_impl(std::size_t n, void* ctx, IndexFn fn, std::size_t threads);
 
 }  // namespace detail
 
 /// Run body(i) for i in [0, n) on up to `threads` workers (0 = default).
-/// Index blocks are handed out through an atomic counter, so the assignment
-/// of indices to threads is dynamic but every index runs exactly once.
+/// Indices are handed out through an atomic counter, so the assignment of
+/// indices to threads is dynamic but every index runs exactly once.
 template <typename F>
 void parallel_for(std::size_t n, F&& body, std::size_t threads = 0) {
     using Fn = std::remove_reference_t<F>;
     detail::parallel_for_impl(
-        n, 1, const_cast<std::remove_const_t<Fn>*>(std::addressof(body)),
-        [](void* ctx, std::size_t begin, std::size_t end) {
-            Fn& f = *static_cast<Fn*>(ctx);
-            for (std::size_t i = begin; i < end; ++i) f(i);
-        },
-        threads);
-}
-
-/// Blocked variant: body(begin, end) receives whole index ranges of up to
-/// `block` indices each. Use when per-index work is tiny and the body can
-/// amortize setup across a contiguous run (the executors' shard loops).
-template <typename F>
-void parallel_for_blocked(std::size_t n, std::size_t block, F&& body,
-                          std::size_t threads = 0) {
-    using Fn = std::remove_reference_t<F>;
-    detail::parallel_for_impl(
-        n, block > 0 ? block : 1,
-        const_cast<std::remove_const_t<Fn>*>(std::addressof(body)),
-        [](void* ctx, std::size_t begin, std::size_t end) {
-            (*static_cast<Fn*>(ctx))(begin, end);
-        },
-        threads);
+        n, const_cast<std::remove_const_t<Fn>*>(std::addressof(body)),
+        [](void* ctx, std::size_t i) { (*static_cast<Fn*>(ctx))(i); }, threads);
 }
 
 }  // namespace dbsp::util

@@ -2,6 +2,7 @@
 
 #include <complex>
 #include <memory>
+#include <vector>
 
 #include "algos/bitonic_sort.hpp"
 #include "algos/collectives.hpp"
@@ -13,11 +14,14 @@
 #include "algos/transpose_program.hpp"
 #include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
+#include "core/naive_hmm_simulator.hpp"
 #include "core/self_simulator.hpp"
 #include "core/smoothing.hpp"
 #include "model/cost_table_cache.hpp"
 #include "model/dbsp_machine.hpp"
 #include "model/superstep_exec.hpp"
+#include "trace/aggregate.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace dbsp {
@@ -207,6 +211,94 @@ TEST(CrossExecutor, RationalDeliveryAgreesOnRecursiveFft) {
             ASSERT_EQ(res.data_of(p), direct.data_of(p)) << "rational=" << rational;
         }
     }
+}
+
+// --- executors run in parallel across independent runs ----------------------
+//
+// Each executor is serial; concurrency lives only across independent runs
+// (bench sweep points, serve connections), which share the cost-table cache
+// and the metrics registry. Every executor, run on its own program and sink
+// from several pool workers at once, must reproduce its serial run's cost
+// and final contexts bit for bit and keep its sink's mirror exact.
+
+struct RunOutcome {
+    double cost = 0.0;
+    std::vector<std::vector<Word>> contexts;
+};
+
+template <typename Run>
+void expect_parallel_runs_bit_identical(Run run) {
+    constexpr std::size_t kRuns = 8;
+    std::vector<RunOutcome> serial(kRuns), parallel(kRuns);
+    for (std::size_t i = 0; i < kRuns; ++i) serial[i] = run(i);
+    util::parallel_for(kRuns, [&](std::size_t i) { parallel[i] = run(i); }, 4);
+    for (std::size_t i = 0; i < kRuns; ++i) {
+        EXPECT_EQ(parallel[i].cost, serial[i].cost) << "run " << i;
+        EXPECT_EQ(parallel[i].contexts, serial[i].contexts) << "run " << i;
+    }
+}
+
+std::unique_ptr<algo::BitonicSortProgram> make_parallel_run_program(std::size_t run) {
+    SplitMix64 rng(99 + run % 2);
+    std::vector<Word> keys(64);
+    for (auto& k : keys) k = rng.next();
+    return std::make_unique<algo::BitonicSortProgram>(keys);
+}
+
+TEST(ParallelExecutors, DirectMachineBitIdentical) {
+    const AccessFunction f = AccessFunction::polynomial(0.5);
+    expect_parallel_runs_bit_identical([&](std::size_t run) {
+        const auto program = make_parallel_run_program(run);
+        trace::AggregateSink sink;
+        DbspMachine machine(f);
+        machine.set_trace(&sink);
+        auto res = machine.run(*program);
+        EXPECT_EQ(sink.total(), res.time);
+        return RunOutcome{res.time, std::move(res.contexts)};
+    });
+}
+
+TEST(ParallelExecutors, HmmSimulatorBitIdentical) {
+    const AccessFunction f = AccessFunction::polynomial(0.5);
+    expect_parallel_runs_bit_identical([&](std::size_t run) {
+        const auto program = make_parallel_run_program(run);
+        auto smoothed = core::smooth(
+            *program, core::hmm_label_set(f, program->layout().context_words(), 64));
+        trace::AggregateSink sink;
+        core::HmmSimulator::Options options;
+        options.trace = &sink;
+        auto res = core::HmmSimulator(f, options).simulate(*smoothed);
+        EXPECT_EQ(sink.total(), res.hmm_cost);
+        return RunOutcome{res.hmm_cost, std::move(res.contexts)};
+    });
+}
+
+TEST(ParallelExecutors, BtSimulatorBitIdentical) {
+    const AccessFunction f = AccessFunction::polynomial(0.35);
+    expect_parallel_runs_bit_identical([&](std::size_t run) {
+        const auto program = make_parallel_run_program(run);
+        auto smoothed = core::smooth(
+            *program, core::bt_label_set(f, program->layout().context_words(), 64));
+        trace::AggregateSink sink;
+        core::BtSimulator::Options options;
+        options.trace = &sink;
+        auto res = core::BtSimulator(f, options).simulate(*smoothed);
+        EXPECT_EQ(sink.total(), res.bt_cost);
+        return RunOutcome{res.bt_cost, std::move(res.contexts)};
+    });
+}
+
+TEST(ParallelExecutors, NaiveHmmSimulatorBitIdentical) {
+    const AccessFunction f = AccessFunction::logarithmic();
+    expect_parallel_runs_bit_identical([&](std::size_t run) {
+        const auto program = make_parallel_run_program(run);
+        trace::AggregateSink sink;
+        core::NaiveHmmSimulator::Options options;
+        options.trace = &sink;
+        auto res = core::NaiveHmmSimulator(f, options).simulate(*program);
+        EXPECT_EQ(sink.total(), res.hmm_cost);
+        return RunOutcome{res.hmm_cost, std::move(res.contexts)};
+    });
 }
 
 }  // namespace

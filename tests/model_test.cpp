@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "model/cluster_tree.hpp"
 #include "model/context_layout.hpp"
 #include "model/program.hpp"
@@ -157,6 +160,137 @@ TEST(DeliverMessages, AppendsToUnconsumedInbox) {
     deliver_messages(layout, 0, 2, with);
     EXPECT_EQ(mem[0][layout.in_count_offset()], 2u);
     EXPECT_EQ(mem[0][layout.in_record_offset(1) + 1], 42u);
+}
+
+/// Contexts for `count` processors where each sends `sends` messages to
+/// (p + k + 1) % count, payloads derived from (p, k).
+std::vector<std::vector<Word>> make_sending_contexts(const ContextLayout& layout,
+                                                     std::uint64_t count,
+                                                     std::size_t sends) {
+    std::vector<std::vector<Word>> contexts(count,
+                                            std::vector<Word>(layout.context_words(), 0));
+    for (std::uint64_t p = 0; p < count; ++p) {
+        contexts[p][layout.out_count_offset()] = sends;
+        for (std::size_t k = 0; k < sends; ++k) {
+            const std::size_t off = layout.out_record_offset(k);
+            contexts[p][off] = (p + k + 1) % count;  // dest
+            contexts[p][off + 1] = 1000 * p + k;     // payload0
+            contexts[p][off + 2] = 7 * p + k;        // payload1
+        }
+    }
+    return contexts;
+}
+
+TEST(DeliverMessages, CanonicalInboxOrderAcrossBlocks) {
+    // Phase 2 appends block by block; every inbox must still receive its
+    // messages in (src, send-order), whatever block the senders sit in.
+    const ContextLayout layout{.data_words = 4, .max_messages = 6};
+    const std::size_t sends = 3;
+    for (const std::uint64_t count : {1u, 63u, 64u, 65u, 200u}) {
+        auto contexts = make_sending_contexts(layout, count, sends);
+        VectorAccessorSource src(contexts, layout.context_words());
+        const std::size_t h = deliver_messages(layout, 0, count, src, /*id_base=*/5);
+        std::size_t max_expected = 0;
+        for (std::uint64_t q = 0; q < count; ++q) {
+            std::vector<std::vector<Word>> expected;  // {src, payload0, payload1}
+            for (std::uint64_t p = 0; p < count; ++p) {
+                for (std::size_t k = 0; k < sends; ++k) {
+                    if ((p + k + 1) % count == q) expected.push_back({5 + p, 1000 * p + k, 7 * p + k});
+                }
+            }
+            max_expected = std::max(max_expected, expected.size());
+            ASSERT_EQ(contexts[q][layout.in_count_offset()], expected.size())
+                << "count=" << count << " q=" << q;
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+                const std::size_t off = layout.in_record_offset(i);
+                const std::vector<Word> got(contexts[q].begin() + off,
+                                            contexts[q].begin() + off + 3);
+                EXPECT_EQ(got, expected[i]) << "count=" << count << " q=" << q << " i=" << i;
+            }
+            EXPECT_EQ(contexts[q][layout.out_count_offset()], 0u);
+        }
+        EXPECT_EQ(h, max_expected) << "count=" << count;
+    }
+}
+
+TEST(DeliverMessages, ZeroMessagesAtBlockEdges) {
+    const ContextLayout layout{.data_words = 2, .max_messages = 2};
+    for (const std::uint64_t count : {1u, 63u, 64u, 65u}) {
+        auto contexts = make_sending_contexts(layout, count, 0);
+        const auto before = contexts;
+        VectorAccessorSource src(contexts, layout.context_words());
+        DeliveryScratch scratch;
+        EXPECT_EQ(deliver_messages(layout, 0, count, src, 0, &scratch), 0u) << count;
+        EXPECT_EQ(contexts, before) << count;  // nothing moved
+        EXPECT_TRUE(scratch.pending.empty()) << count;
+    }
+}
+
+TEST(DeliverMessages, ScratchReusedAcrossSources) {
+    // One scratch driven by two sources in turn must carry nothing over.
+    const ContextLayout layout{.data_words = 2, .max_messages = 4};
+    DeliveryScratch scratch;
+    for (int round = 0; round < 2; ++round) {
+        auto a = make_sending_contexts(layout, 70, 2);
+        auto b = make_sending_contexts(layout, 70, 2);
+        VectorAccessorSource sa(a, layout.context_words());
+        VectorAccessorSource sb(b, layout.context_words());
+        const std::size_t ra = deliver_messages(layout, 0, 70, sa, 0, &scratch);
+        const std::size_t rb = deliver_messages(layout, 0, 70, sb, 0, &scratch);
+        EXPECT_EQ(ra, rb);
+        EXPECT_EQ(a, b);
+    }
+}
+
+/// Records which processors each begin_block()/end_block() bracket touched.
+class BracketRecorder final : public AccessorSource {
+public:
+    BracketRecorder(std::vector<std::vector<Word>>& contexts, std::size_t mu)
+        : inner_(contexts, mu) {}
+    ContextAccessor& at(ProcId p) override {
+        EXPECT_TRUE(open_) << "at(" << p << ") outside a block bracket";
+        brackets.back().push_back(p);
+        return inner_.at(p);
+    }
+    void begin_block() override {
+        EXPECT_FALSE(open_);
+        open_ = true;
+        brackets.emplace_back();
+    }
+    void end_block() override {
+        EXPECT_TRUE(open_);
+        open_ = false;
+    }
+
+    std::vector<std::vector<ProcId>> brackets;
+
+private:
+    VectorAccessorSource inner_;
+    bool open_ = false;
+};
+
+TEST(DeliverMessages, FoldsEachBlockInsideOneBracket) {
+    // The charged executors fold one account per bracket, so the bracket
+    // structure is part of the charged totals: phase 1 visits the senders of
+    // block b in ascending order, phase 2 only the inboxes of block b.
+    const ContextLayout layout{.data_words = 2, .max_messages = 4};
+    for (const std::uint64_t count : {1u, 64u, 65u, 200u}) {
+        auto contexts = make_sending_contexts(layout, count, 2);
+        BracketRecorder src(contexts, layout.context_words());
+        deliver_messages(layout, 0, count, src);
+        const std::uint64_t nblocks = (count + kFoldBlockProcs - 1) / kFoldBlockProcs;
+        ASSERT_EQ(src.brackets.size(), 2 * nblocks) << count;
+        for (std::uint64_t b = 0; b < nblocks; ++b) {
+            const ProcId lo = b * kFoldBlockProcs;
+            const ProcId hi = std::min<ProcId>(count, lo + kFoldBlockProcs);
+            std::vector<ProcId> senders;
+            for (ProcId p = lo; p < hi; ++p) senders.push_back(p);
+            EXPECT_EQ(src.brackets[b], senders) << "count=" << count << " block " << b;
+            for (const ProcId q : src.brackets[nblocks + b]) {
+                EXPECT_TRUE(q >= lo && q < hi) << "count=" << count << " block " << b;
+            }
+        }
+    }
 }
 
 TEST(RelabeledProgram, DummyStepsDoNothing) {

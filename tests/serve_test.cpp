@@ -76,16 +76,6 @@ TEST(ServeRunner, DocumentIsDeterministic) {
     EXPECT_GT((*doc)["hmm"]["cost"].as_double(), 0.0);
 }
 
-TEST(ServeRunner, ThreadCountNeverChangesBytes) {
-    const check::ProgramSpec spec = interesting_spec();
-    serve::RunOptions serial;
-    serial.threads = 1;
-    serve::RunOptions wide;
-    wide.threads = 4;
-    EXPECT_EQ(serve::run_to_json(spec, serial), serve::run_to_json(spec, wide));
-    EXPECT_EQ(serve::fingerprint(spec, serial), serve::fingerprint(spec, wide));
-}
-
 TEST(ServeRunner, FingerprintSeparatesResultInfluencingOptions) {
     const check::ProgramSpec spec = interesting_spec();
     serve::RunOptions base;

@@ -23,7 +23,7 @@
 ///
 /// Usage:
 ///   dbsp_loadgen --socket PATH [--spawn DBSP_SERVE_BIN] [--requests N]
-///                [--distinct K] [--batch B] [--threads N] [--out FILE]
+///                [--distinct K] [--batch B] [--out FILE]
 ///                [--telemetry]
 ///
 /// --telemetry adds a fifth leg (PR 9): validate the op:"watch" frame
@@ -74,7 +74,7 @@ using namespace dbsp;
 [[noreturn]] void usage(const char* self) {
     std::fprintf(stderr,
                  "usage: %s --socket PATH [--spawn DBSP_SERVE_BIN] [--requests N]\n"
-                 "          [--distinct K] [--batch B] [--threads N] [--out FILE]\n"
+                 "          [--distinct K] [--batch B] [--out FILE]\n"
                  "          [--telemetry]\n",
                  self);
     std::exit(2);
@@ -119,12 +119,10 @@ double now_ms() {
 
 /// Spawn a dbsp_serve with extra argv entries; -1 on fork failure.
 pid_t spawn_daemon(const std::string& bin, const std::string& socket,
-                   std::uint64_t threads, const std::vector<std::string>& extra) {
+                   const std::vector<std::string>& extra) {
     const pid_t pid = ::fork();
     if (pid != 0) return pid;
-    const std::string threads_str = std::to_string(threads);
-    std::vector<const char*> args = {bin.c_str(), "--socket", socket.c_str(),
-                                     "--threads", threads_str.c_str()};
+    std::vector<const char*> args = {bin.c_str(), "--socket", socket.c_str()};
     for (const std::string& a : extra) args.push_back(a.c_str());
     args.push_back(nullptr);
     ::execv(bin.c_str(), const_cast<char* const*>(args.data()));
@@ -232,7 +230,6 @@ int main(int argc, char** argv) {
     std::uint64_t requests = 64;
     std::uint64_t distinct = 8;
     std::uint64_t batch = 8;
-    std::uint64_t threads = 0;
     bool telemetry = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -254,8 +251,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--batch") {
             batch = parse_u64("--batch", next());
             if (batch == 0) bad_arg("--batch", "0", "a positive count");
-        } else if (arg == "--threads") {
-            threads = parse_u64("--threads", next());
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--telemetry") {
@@ -274,10 +269,8 @@ int main(int argc, char** argv) {
             return 1;
         }
         if (daemon_pid == 0) {
-            const std::string threads_str = std::to_string(threads);
             ::execl(spawn_bin.c_str(), spawn_bin.c_str(), "--socket",
-                    socket_path.c_str(), "--threads", threads_str.c_str(),
-                    static_cast<char*>(nullptr));
+                    socket_path.c_str(), static_cast<char*>(nullptr));
             std::perror("dbsp_loadgen: exec dbsp_serve");
             ::_exit(127);
         }
@@ -523,8 +516,8 @@ int main(int argc, char** argv) {
             const std::string plain_sock = socket_path + ".plain";
             const std::string logged_sock = socket_path + ".logged";
             const std::string log_file = socket_path + ".jsonl";
-            const pid_t plain_pid = spawn_daemon(spawn_bin, plain_sock, threads, {});
-            const pid_t logged_pid = spawn_daemon(spawn_bin, logged_sock, threads,
+            const pid_t plain_pid = spawn_daemon(spawn_bin, plain_sock, {});
+            const pid_t logged_pid = spawn_daemon(spawn_bin, logged_sock,
                                                   {"--log", log_file});
             serve::Client plain;
             serve::Client logged;

@@ -2,13 +2,13 @@
 ///
 /// Listens on a Unix-domain stream socket for newline-framed JSON requests
 /// (see src/serve/protocol.hpp), runs `dbsp-spec v1` programs through the
-/// D-BSP/HMM/BT executors on the persistent worker pool, and replies with
+/// D-BSP/HMM/BT executors on the connection's own thread, and replies with
 /// deterministic "dbsp-serve-result-v1" documents. Results are memoized in
 /// an LRU cache keyed by spec fingerprint; op:"metrics" serves a live
 /// registry snapshot; op:"shutdown" stops the daemon cleanly.
 ///
 /// Usage:
-///   dbsp_serve --socket PATH [--threads N] [--cache N] [--max-request-bytes N]
+///   dbsp_serve --socket PATH [--cache N] [--max-request-bytes N]
 ///              [--log FILE|-] [--log-level debug|info|warn|error]
 ///              [--log-max-bytes N] [--slow-ms MS] [--span-ring N] [--version]
 ///
@@ -48,7 +48,7 @@ void handle_signal(int) {
 
 [[noreturn]] void usage(const char* self) {
     std::fprintf(stderr,
-                 "usage: %s --socket PATH [--threads N] [--cache N]\n"
+                 "usage: %s --socket PATH [--cache N]\n"
                  "          [--max-request-bytes N] [--log FILE|-]\n"
                  "          [--log-level debug|info|warn|error] [--log-max-bytes N]\n"
                  "          [--slow-ms MS] [--span-ring N] [--version]\n",
@@ -85,8 +85,6 @@ int main(int argc, char** argv) {
         };
         if (arg == "--socket") {
             options.socket_path = next();
-        } else if (arg == "--threads") {
-            options.threads = parse_u64("--threads", next());
         } else if (arg == "--cache") {
             options.cache_entries = parse_u64("--cache", next());
         } else if (arg == "--max-request-bytes") {
