@@ -51,22 +51,8 @@ void Machine::traced_write_tail(Addr x, Word value) {
     memory_[x] = value;
 }
 
-Word Machine::read(Addr x) {
-    DBSP_REQUIRE(x < capacity());
-    const double delta = table_->cost(x);
-    cost_ += delta;
-    word_access_ += delta;
-    if (trace_ != nullptr) [[unlikely]] return traced_read_tail(x);
-    return memory_[x];
-}
-
-void Machine::write(Addr x, Word value) {
-    DBSP_REQUIRE(x < capacity());
-    const double delta = table_->cost(x);
-    cost_ += delta;
-    word_access_ += delta;
-    if (trace_ != nullptr) [[unlikely]] { traced_write_tail(x, value); return; }
-    memory_[x] = value;
+void Machine::traced_copy_words(Addr src, Addr dst, std::uint64_t n) {
+    for (std::uint64_t t = 0; t < n; ++t) write(dst + t, read(src + t));
 }
 
 void Machine::read_range(Addr x, std::span<Word> out) {

@@ -67,8 +67,57 @@ public:
     ~Machine();
 
     /// --- charged word accesses (HMM-style) ---------------------------------
-    Word read(Addr x);
-    void write(Addr x, Word value);
+    /// Inline: the staged streams issue one of these per word they move.
+    Word read(Addr x) {
+        DBSP_REQUIRE(x < capacity());
+        const double delta = table_->cost(x);
+        cost_ += delta;
+        word_access_ += delta;
+        if (trace_ != nullptr) [[unlikely]] return traced_read_tail(x);
+        return memory_[x];
+    }
+
+    void write(Addr x, Word value) {
+        DBSP_REQUIRE(x < capacity());
+        const double delta = table_->cost(x);
+        cost_ += delta;
+        word_access_ += delta;
+        if (trace_ != nullptr) [[unlikely]] {
+            traced_write_tail(x, value);
+            return;
+        }
+        memory_[x] = value;
+    }
+
+    /// Charged word-by-word copy of [src, src+n) onto [dst, dst+n):
+    /// equivalent, bit for bit, to `for t: write(dst+t, read(src+t))`. Per
+    /// word, cost and word_access each add the read's f(src+t) and then the
+    /// write's f(dst+t), taken from the prefix table; ascending t, so even
+    /// overlapping ranges end up as the loop leaves them. With a sink
+    /// attached it runs that literal loop, so the event sequence is the
+    /// same too. Not a block transfer: each word pays its own access.
+    void copy_words(Addr src, Addr dst, std::uint64_t n) {
+        if (trace_ != nullptr) [[unlikely]] {
+            traced_copy_words(src, dst, n);
+            return;
+        }
+        DBSP_REQUIRE(src + n <= capacity() && dst + n <= capacity());
+        const double* prefix = table_->prefix().data();
+        Word* memory = memory_.data();
+        double cost = cost_;
+        double word_access = word_access_;
+        for (std::uint64_t t = 0; t < n; ++t) {
+            const double read_delta = prefix[src + t + 1] - prefix[src + t];
+            cost += read_delta;
+            word_access += read_delta;
+            const double write_delta = prefix[dst + t + 1] - prefix[dst + t];
+            cost += write_delta;
+            word_access += write_delta;
+            memory[dst + t] = memory[src + t];
+        }
+        cost_ = cost;
+        word_access_ = word_access;
+    }
 
     /// --- charged bulk accesses ---------------------------------------------
     /// Read [x, x + out.size()) into \p out; cost-equivalent (bit for bit,
@@ -137,6 +186,8 @@ private:
     /// so the null-sink read()/write() stay leaf functions.
     [[gnu::cold]] [[gnu::noinline]] Word traced_read_tail(Addr x);
     [[gnu::cold]] [[gnu::noinline]] void traced_write_tail(Addr x, Word value);
+    [[gnu::cold]] [[gnu::noinline]] void traced_copy_words(Addr src, Addr dst,
+                                                           std::uint64_t n);
 
     std::shared_ptr<const model::CostTable> table_;
     std::vector<Word> memory_;

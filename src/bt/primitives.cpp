@@ -47,7 +47,8 @@ Word touch_region(Machine& m, Addr base, std::uint64_t n) {
 }
 
 StageTower::StageTower(const Machine& m, Addr stage, std::uint64_t chunk,
-                       std::uint64_t align, std::uint64_t lane, std::uint64_t lanes) {
+                       std::uint64_t align, std::uint64_t lane, std::uint64_t lanes)
+    : stage(stage), window(lanes * chunk) {
     DBSP_REQUIRE(align >= 1);
     DBSP_REQUIRE(chunk >= align && chunk % align == 0);
     DBSP_REQUIRE(lanes >= 1 && lane < lanes);
@@ -61,6 +62,7 @@ StageTower::StageTower(const Machine& m, Addr stage, std::uint64_t chunk,
         if (nxt < align || nxt < 8 || 4 * nxt > sizes.back()) break;
         sizes.push_back(nxt);
     }
+    DBSP_ASSERT(sizes.size() <= kMaxLevels);
     // Inner levels keep their size; the outermost absorbs the remainder so
     // each lane's tower occupies exactly chunk words.
     std::uint64_t inner_total = 0;
@@ -82,91 +84,117 @@ StageTower::StageTower(const Machine& m, Addr stage, std::uint64_t chunk,
 StagedReader::StagedReader(Machine& m, Addr begin, std::uint64_t len, Addr stage,
                            std::uint64_t chunk, std::uint64_t align, std::uint64_t lane,
                            std::uint64_t lanes)
-    : m_(m), begin_(begin), len_(len), tower_(m, stage, chunk, align, lane, lanes),
-      lo_(tower_.levels.size(), 0), hi_(tower_.levels.size(), 0) {
+    : m_(m), owned_(std::in_place, m, stage, chunk, align, lane, lanes), tower_(&*owned_) {
+    init(begin, len);
+}
+
+StagedReader::StagedReader(Machine& m, Addr begin, std::uint64_t len,
+                           const StageTower& tower)
+    : m_(m), tower_(&tower) {
+    init(begin, len);
+}
+
+void StagedReader::init(Addr begin, std::uint64_t len) {
+    begin_ = begin;
+    len_ = len;
     DBSP_REQUIRE(begin_ + len_ <= m_.capacity());
-    DBSP_REQUIRE(stage + lanes * chunk <= m_.capacity());
-    DBSP_REQUIRE(stage + lanes * chunk <= begin_ || begin_ + len_ <= stage);
+    DBSP_REQUIRE(tower_->stage + tower_->window <= m_.capacity());
+    DBSP_REQUIRE(tower_->stage + tower_->window <= begin_ || begin_ + len_ <= tower_->stage);
+    inner_ = tower_->levels.size() - 1;
+    std::fill_n(lo_.begin(), inner_ + 1, 0);
+    std::fill_n(hi_.begin(), inner_ + 1, 0);
+    inner_addr_ = tower_->levels[inner_].addr;
 }
 
 void StagedReader::refill(std::size_t level) {
     DBSP_ASSERT(pos_ < len_);
+    const auto& levels = tower_->levels;
     lo_[level] = pos_;
     const std::uint64_t parent_hi = (level == 0) ? len_ : hi_[level - 1];
-    hi_[level] = std::min(pos_ + tower_.levels[level].capacity, parent_hi);
-    const Addr src = (level == 0)
-                         ? begin_ + pos_
-                         : tower_.levels[level - 1].addr + (pos_ - lo_[level - 1]);
-    m_.block_copy(src, tower_.levels[level].addr, hi_[level] - lo_[level]);
+    hi_[level] = std::min(pos_ + levels[level].capacity, parent_hi);
+    const Addr src =
+        (level == 0) ? begin_ + pos_ : levels[level - 1].addr + (pos_ - lo_[level - 1]);
+    m_.block_copy(src, levels[level].addr, hi_[level] - lo_[level]);
 }
 
-Word StagedReader::peek(std::uint64_t offset) {
-    const std::uint64_t at = pos_ + offset;
-    DBSP_REQUIRE(at < len_);
-    const std::size_t inner = tower_.levels.size() - 1;
-    if (at >= hi_[inner]) {
-        // A record never straddles windows when every capacity is a multiple
-        // of the record size and advance() moves in whole records, so a miss
-        // always lands exactly at the consumption point.
-        DBSP_ASSERT(pos_ >= hi_[inner]);
-        for (std::size_t k = 0; k <= inner; ++k) {
-            if (pos_ >= hi_[k]) refill(k);
-        }
+void StagedReader::restage() {
+    // A record never straddles windows when every capacity is a multiple of
+    // the record size and advance() moves in whole records, so a miss always
+    // lands exactly at the consumption point.
+    DBSP_ASSERT(pos_ >= inner_hi_);
+    for (std::size_t k = 0; k <= inner_; ++k) {
+        if (pos_ >= hi_[k]) refill(k);
     }
-    DBSP_ASSERT(at >= lo_[inner]);
-    return m_.read(tower_.levels[inner].addr + (at - lo_[inner]));
-}
-
-void StagedReader::advance(std::uint64_t words) {
-    DBSP_REQUIRE(pos_ + words <= len_);
-    pos_ += words;
+    inner_lo_ = lo_[inner_];
+    inner_hi_ = hi_[inner_];
 }
 
 StagedWriter::StagedWriter(Machine& m, Addr begin, std::uint64_t len, Addr stage,
                            std::uint64_t chunk, std::uint64_t align, std::uint64_t lane,
                            std::uint64_t lanes)
-    : m_(m), begin_(begin), len_(len), tower_(m, stage, chunk, align, lane, lanes),
-      fill_(tower_.levels.size(), 0) {
+    : m_(m), owned_(std::in_place, m, stage, chunk, align, lane, lanes), tower_(&*owned_) {
+    init(begin, len);
+}
+
+StagedWriter::StagedWriter(Machine& m, Addr begin, std::uint64_t len,
+                           const StageTower& tower)
+    : m_(m), tower_(&tower) {
+    init(begin, len);
+}
+
+void StagedWriter::init(Addr begin, std::uint64_t len) {
+    begin_ = begin;
+    len_ = len;
     DBSP_REQUIRE(begin_ + len_ <= m_.capacity());
-    DBSP_REQUIRE(stage + lanes * chunk <= m_.capacity());
-    DBSP_REQUIRE(stage + lanes * chunk <= begin_ || begin_ + len_ <= stage);
+    DBSP_REQUIRE(tower_->stage + tower_->window <= m_.capacity());
+    DBSP_REQUIRE(tower_->stage + tower_->window <= begin_ || begin_ + len_ <= tower_->stage);
+    inner_ = tower_->levels.size() - 1;
+    std::fill_n(fill_.begin(), inner_ + 1, 0);
+    inner_addr_ = tower_->levels[inner_].addr;
+    inner_cap_ = tower_->levels[inner_].capacity;
 }
 
 StagedWriter::~StagedWriter() { flush(); }
 
-std::uint64_t StagedWriter::written() const {
-    std::uint64_t total = written_;
-    for (std::uint64_t f : fill_) total += f;
-    return total;
-}
-
-void StagedWriter::push(Word w) {
-    DBSP_REQUIRE(written() < len_);
-    const std::size_t inner = tower_.levels.size() - 1;
-    m_.write(tower_.levels[inner].addr + fill_[inner], w);
-    if (++fill_[inner] == tower_.levels[inner].capacity) spill(inner);
+void StagedWriter::push_from(StagedReader& rd, std::uint64_t n) {
+    if (n == 0) return;
+    // The checks push(rd.peek(t)) makes word by word. Only peek(0) can
+    // restage the reader; every later word must already be staged.
+    DBSP_REQUIRE(rd.pos_ + n <= rd.len_);
+    DBSP_REQUIRE(count_ + n <= len_);
+    if (rd.pos_ >= rd.inner_hi_) rd.restage();
+    DBSP_ASSERT(rd.pos_ >= rd.inner_lo_ && rd.pos_ + n <= rd.inner_hi_);
+    Addr src = rd.inner_addr_ + (rd.pos_ - rd.inner_lo_);
+    while (n > 0) {
+        const std::uint64_t piece = std::min(n, inner_cap_ - fill_[inner_]);
+        m_.copy_words(src, inner_addr_ + fill_[inner_], piece);
+        src += piece;
+        n -= piece;
+        count_ += piece;
+        if ((fill_[inner_] += piece) == inner_cap_) spill(inner_);
+    }
 }
 
 void StagedWriter::spill(std::size_t level) {
     if (fill_[level] == 0) return;
+    const auto& levels = tower_->levels;
     if (level == 0) {
-        m_.block_copy(tower_.levels[0].addr, begin_ + written_, fill_[0]);
+        m_.block_copy(levels[0].addr, begin_ + written_, fill_[0]);
         written_ += fill_[0];
         fill_[0] = 0;
         return;
     }
     const std::size_t parent = level - 1;
-    if (tower_.levels[parent].capacity - fill_[parent] < fill_[level]) {
+    if (levels[parent].capacity - fill_[parent] < fill_[level]) {
         spill(parent);
     }
-    m_.block_copy(tower_.levels[level].addr,
-                  tower_.levels[parent].addr + fill_[parent], fill_[level]);
+    m_.block_copy(levels[level].addr, levels[parent].addr + fill_[parent], fill_[level]);
     fill_[parent] += fill_[level];
     fill_[level] = 0;
 }
 
 void StagedWriter::flush() {
-    for (std::size_t k = tower_.levels.size(); k-- > 0;) spill(k);
+    for (std::size_t k = inner_ + 1; k-- > 0;) spill(k);
 }
 
 }  // namespace dbsp::bt

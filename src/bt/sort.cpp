@@ -10,18 +10,17 @@ namespace dbsp::bt {
 namespace {
 
 /// Merge the sorted runs [a, a+la) and [b, b+lb) (word lengths, both multiples
-/// of r) into dst, using three staging buffers of `chunk` words each at
-/// stage, stage+chunk, stage+2*chunk.
+/// of r) into dst through the three lane towers of one stage window.
 void merge_runs(Machine& m, Addr a, std::uint64_t la, Addr b, std::uint64_t lb, Addr dst,
-                std::uint64_t r, Addr stage, std::uint64_t chunk) {
+                std::uint64_t r, const StageTower (&lanes)[3]) {
     // Three cooperating streams share one depth-interleaved staging tower,
     // so all their innermost buffers sit at the top of the stage window.
-    StagedReader ra(m, a, la, stage, chunk, /*align=*/r, /*lane=*/0, /*lanes=*/3);
-    StagedReader rb(m, b, lb, stage, chunk, /*align=*/r, /*lane=*/1, /*lanes=*/3);
-    StagedWriter out(m, dst, la + lb, stage, chunk, /*align=*/r, /*lane=*/2, /*lanes=*/3);
+    StagedReader ra(m, a, la, lanes[0]);
+    StagedReader rb(m, b, lb, lanes[1]);
+    StagedWriter out(m, dst, la + lb, lanes[2]);
 
     auto take = [&](StagedReader& src) {
-        for (std::uint64_t t = 0; t < r; ++t) out.push(src.peek(t));
+        out.push_from(src, r);
         src.advance(r);
     };
 
@@ -64,6 +63,14 @@ void merge_sort_records(Machine& m, Addr base, std::uint64_t n_records,
     std::uint64_t chunk = chunk_words(m, deepest, stage_words / 3);
     chunk = std::max<std::uint64_t>(chunk - chunk % r, r);
 
+    // Every merge of this sort streams through the same window, so the lane
+    // towers are built once.
+    const StageTower lanes[3] = {
+        StageTower(m, stage, chunk, /*align=*/r, /*lane=*/0, /*lanes=*/3),
+        StageTower(m, stage, chunk, /*align=*/r, /*lane=*/1, /*lanes=*/3),
+        StageTower(m, stage, chunk, /*align=*/r, /*lane=*/2, /*lanes=*/3),
+    };
+
     Addr src = base;
     Addr dst = scratch;
     for (std::uint64_t width = 1; width < n_records; width *= 2) {
@@ -77,7 +84,7 @@ void merge_sort_records(Machine& m, Addr base, std::uint64_t n_records,
                 m.block_copy(src + lo * r, dst + lo * r, la);
                 continue;
             }
-            merge_runs(m, src + lo * r, la, src + mid * r, lb, dst + lo * r, r, stage, chunk);
+            merge_runs(m, src + lo * r, la, src + mid * r, lb, dst + lo * r, r, lanes);
         }
         std::swap(src, dst);
     }

@@ -184,7 +184,8 @@ private:
     // --- streaming helpers --------------------------------------------------
     std::uint64_t stream_chunk(Addr deepest, std::uint64_t share,
                                std::uint64_t align) const;
-    ParsedContext parse_context(bt::StagedReader& rd) const;
+    /// Read the next context from \p rd into \p ctx, reusing its storage.
+    void parse_context(bt::StagedReader& rd, ParsedContext& ctx) const;
     std::uint64_t serialize_cluster(ProcId first, std::uint64_t csize, Addr dst);
     void deserialize_cluster(ProcId first, std::uint64_t csize, Addr src,
                              std::uint64_t n_rec);
@@ -361,9 +362,8 @@ std::uint64_t BtSim::stream_chunk(Addr deepest, std::uint64_t share,
     return c;
 }
 
-ParsedContext BtSim::parse_context(bt::StagedReader& rd) const {
-    ParsedContext ctx;
-    ctx.data.reserve(d_);
+void BtSim::parse_context(bt::StagedReader& rd, ParsedContext& ctx) const {
+    ctx.data.clear();
     for (std::size_t i = 0; i < d_; ++i) {
         ctx.data.push_back(rd.peek());
         rd.advance(1);
@@ -371,6 +371,7 @@ ParsedContext BtSim::parse_context(bt::StagedReader& rd) const {
     const auto out_count = static_cast<std::size_t>(rd.peek());
     rd.advance(1);
     DBSP_ASSERT(out_count <= b_);
+    ctx.outgoing.clear();
     for (std::size_t k = 0; k < b_; ++k) {
         const Word dest = rd.peek();
         rd.advance(1);
@@ -382,23 +383,20 @@ ParsedContext BtSim::parse_context(bt::StagedReader& rd) const {
             ctx.outgoing.push_back(model::Message{0, dest, p0, p1});
         }
     }
-    std::vector<std::array<Word, 3>> in_records;
-    for (std::size_t k = 0; k < b_; ++k) {
-        std::array<Word, 3> rec{};
+    // All b_ inbox slots are read; only the first in_count are kept.
+    ctx.old_inbox.resize(b_);
+    for (auto& rec : ctx.old_inbox) {
         rec[0] = rd.peek();
         rd.advance(1);
         rec[1] = rd.peek();
         rd.advance(1);
         rec[2] = rd.peek();
         rd.advance(1);
-        in_records.push_back(rec);
     }
     const auto in_count = static_cast<std::size_t>(rd.peek());
     rd.advance(1);
     DBSP_ASSERT(in_count <= b_);
-    ctx.old_inbox.assign(in_records.begin(),
-                         in_records.begin() + static_cast<std::ptrdiff_t>(in_count));
-    return ctx;
+    ctx.old_inbox.resize(in_count);
 }
 
 std::uint64_t BtSim::serialize_cluster(ProcId first, std::uint64_t csize, Addr dst) {
@@ -422,8 +420,9 @@ std::uint64_t BtSim::serialize_cluster(ProcId first, std::uint64_t csize, Addr d
         ++n_rec;
     };
 
+    ParsedContext ctx;
     for (ProcId p = first; p < first + csize; ++p) {
-        const ParsedContext ctx = parse_context(rd);
+        parse_context(rd, ctx);
         for (std::uint64_t i = 0; i < dr_; ++i) {
             const Word w0 = ctx.data[2 * i];
             const Word w1 = (2 * i + 1 < d_) ? ctx.data[2 * i + 1] : 0;
@@ -556,8 +555,9 @@ bool BtSim::deliver_transpose(ProcId first, std::uint64_t csize, std::uint64_t g
                             /*lane=*/1, /*lanes=*/3);
         bt::StagedWriter wy(machine_, ay, csize, /*stage=*/0, chunk, 1,
                             /*lane=*/2, /*lanes=*/3);
+        ParsedContext ctx;
         for (ProcId p = first; p < first + csize; ++p) {
-            const ParsedContext ctx = parse_context(rd);
+            parse_context(rd, ctx);
             // The kTranspose promise: exactly one message, to the transposed
             // grid position.
             DBSP_REQUIRE(ctx.outgoing.size() == 1);

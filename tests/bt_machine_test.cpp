@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "bt/machine.hpp"
 #include "core/bounds.hpp"
+#include "recording_sink.hpp"
+#include "util/rng.hpp"
 
 namespace dbsp::bt {
 namespace {
@@ -53,6 +61,74 @@ TEST(BtMachine, ChargeAccumulates) {
     m.charge(2.5);
     m.charge(0.5);
     EXPECT_DOUBLE_EQ(m.cost(), 3.0);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every accumulator of two machines, bit for bit, and their memories.
+void expect_same_state(const Machine& a, const Machine& b) {
+    EXPECT_EQ(bits(a.cost()), bits(b.cost()));
+    EXPECT_EQ(bits(a.transfer_latency_cost()), bits(b.transfer_latency_cost()));
+    EXPECT_EQ(bits(a.transfer_volume_cost()), bits(b.transfer_volume_cost()));
+    EXPECT_EQ(bits(a.word_access_cost()), bits(b.word_access_cost()));
+    EXPECT_EQ(bits(a.unit_op_cost()), bits(b.unit_op_cost()));
+    EXPECT_EQ(a.block_transfers(), b.block_transfers());
+    EXPECT_TRUE(std::equal(a.raw().begin(), a.raw().end(), b.raw().begin()));
+}
+
+struct CopyCase {
+    model::Addr src, dst;
+    std::uint64_t n;
+};
+
+// Disjoint both ways, overlapping both ways (the forward per-word loop
+// smears a forward-overlapping copy), empty, and one word.
+const CopyCase kCopyCases[] = {{3700, 10, 300}, {10, 3700, 300}, {100, 103, 50},
+                               {103, 100, 50},  {7, 9, 0},       {4095, 0, 1}};
+
+TEST(BtMachine, CopyWordsMatchesPerWordLoop) {
+    for (const auto& f : {AccessFunction::polynomial(0.5), AccessFunction::logarithmic()}) {
+        for (const CopyCase& c : kCopyCases) {
+            SCOPED_TRACE(f.name() + " src=" + std::to_string(c.src) +
+                         " dst=" + std::to_string(c.dst) + " n=" + std::to_string(c.n));
+            Machine fused(f, 4096), loop(f, 4096);
+            SplitMix64 rng(c.src * 31 + c.dst);
+            for (std::uint64_t i = 0; i < 4096; ++i) fused.raw()[i] = loop.raw()[i] = rng.next();
+            // Start from a large running cost: the per-cell costs of shallow
+            // cells are finer than its ulp, so every add rounds and a
+            // regrouped fold (read + write added at once) changes the bits.
+            fused.charge(10000.0 / 3.0);
+            loop.charge(10000.0 / 3.0);
+            fused.copy_words(c.src, c.dst, c.n);
+            for (std::uint64_t t = 0; t < c.n; ++t) loop.write(c.dst + t, loop.read(c.src + t));
+            expect_same_state(fused, loop);
+        }
+    }
+}
+
+TEST(BtMachine, CopyWordsTracedEmitsThePerWordEventSequence) {
+    const auto f = AccessFunction::polynomial(0.5);
+    for (const CopyCase& c : kCopyCases) {
+        SCOPED_TRACE("src=" + std::to_string(c.src) + " dst=" + std::to_string(c.dst));
+        Machine fused(f, 4096), loop(f, 4096);
+        test::RecordingSink fused_sink, loop_sink;
+        fused.set_trace(&fused_sink);
+        loop.set_trace(&loop_sink);
+        for (std::uint64_t i = 0; i < 4096; ++i) fused.raw()[i] = loop.raw()[i] = i * 3 + 1;
+        fused.copy_words(c.src, c.dst, c.n);
+        for (std::uint64_t t = 0; t < c.n; ++t) loop.write(c.dst + t, loop.read(c.src + t));
+        expect_same_state(fused, loop);
+        EXPECT_EQ(fused_sink.events.size(), 2 * c.n);
+        EXPECT_TRUE(fused_sink.events == loop_sink.events);
+        EXPECT_EQ(bits(fused_sink.total()), bits(fused.cost()));
+    }
+}
+
+TEST(BtMachineDeathTest, CopyWordsOutOfRangeAborts) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Machine m(AccessFunction::constant(), 64);
+    EXPECT_DEATH(m.copy_words(60, 0, 8), "Precondition");
+    EXPECT_DEATH(m.copy_words(0, 60, 8), "Precondition");
 }
 
 }  // namespace
