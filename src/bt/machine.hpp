@@ -67,7 +67,7 @@ public:
     ~Machine();
 
     /// --- charged word accesses (HMM-style) ---------------------------------
-    /// Inline: the staged streams issue one of these per word they move.
+    /// Inline: the staged streams make one of these calls per word they move.
     Word read(Addr x) {
         DBSP_REQUIRE(x < capacity());
         const double delta = table_->cost(x);

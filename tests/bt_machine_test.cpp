@@ -1,20 +1,19 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bt/machine.hpp"
+#include "bt_test_support.hpp"
 #include "core/bounds.hpp"
-#include "recording_sink.hpp"
 #include "util/rng.hpp"
 
 namespace dbsp::bt {
 namespace {
 
 using model::AccessFunction;
+using test::bits;
+using test::expect_same_state;
 
 TEST(BtMachine, BlockCopyCostIsMaxAccessPlusLength) {
     Machine m(AccessFunction::polynomial(0.5), 4096);
@@ -61,19 +60,6 @@ TEST(BtMachine, ChargeAccumulates) {
     m.charge(2.5);
     m.charge(0.5);
     EXPECT_DOUBLE_EQ(m.cost(), 3.0);
-}
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-/// Every accumulator of two machines, bit for bit, and their memories.
-void expect_same_state(const Machine& a, const Machine& b) {
-    EXPECT_EQ(bits(a.cost()), bits(b.cost()));
-    EXPECT_EQ(bits(a.transfer_latency_cost()), bits(b.transfer_latency_cost()));
-    EXPECT_EQ(bits(a.transfer_volume_cost()), bits(b.transfer_volume_cost()));
-    EXPECT_EQ(bits(a.word_access_cost()), bits(b.word_access_cost()));
-    EXPECT_EQ(bits(a.unit_op_cost()), bits(b.unit_op_cost()));
-    EXPECT_EQ(a.block_transfers(), b.block_transfers());
-    EXPECT_TRUE(std::equal(a.raw().begin(), a.raw().end(), b.raw().begin()));
 }
 
 struct CopyCase {

@@ -1,15 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "bt/primitives.hpp"
 #include "bt/sort.hpp"
-#include "recording_sink.hpp"
+#include "bt_test_support.hpp"
 #include "util/rng.hpp"
 
 namespace dbsp::bt {
@@ -17,6 +15,8 @@ namespace {
 
 using model::AccessFunction;
 using model::Word;
+using test::bits;
+using test::expect_same_state;
 
 TEST(StageTower, SingleLevelForSmallChunks) {
     Machine m(AccessFunction::logarithmic(), 4096);
@@ -155,19 +155,6 @@ TEST(StagedStream, RecordPeeksNeverStraddle) {
     }
 }
 
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-/// Every accumulator of two machines, bit for bit, and their memories.
-void expect_same_state(const Machine& a, const Machine& b) {
-    EXPECT_EQ(bits(a.cost()), bits(b.cost()));
-    EXPECT_EQ(bits(a.transfer_latency_cost()), bits(b.transfer_latency_cost()));
-    EXPECT_EQ(bits(a.transfer_volume_cost()), bits(b.transfer_volume_cost()));
-    EXPECT_EQ(bits(a.word_access_cost()), bits(b.word_access_cost()));
-    EXPECT_EQ(bits(a.unit_op_cost()), bits(b.unit_op_cost()));
-    EXPECT_EQ(a.block_transfers(), b.block_transfers());
-    EXPECT_TRUE(std::equal(a.raw().begin(), a.raw().end(), b.raw().begin()));
-}
-
 /// Stream `records` records of `align` words from a reader (own window at
 /// [0, reader_chunk)) into a writer (own window right above it), either
 /// record by record with push_from or word by word with push(peek(t)).
@@ -230,34 +217,6 @@ TEST(StagedStream, PushFromMatchesPerWordPush) {
             EXPECT_EQ(bits(fused_sink.total()), bits(loop_sink.total()));
         }
     }
-}
-
-TEST(StagedStream, TowerConstructorsMatchBuildingConstructors) {
-    // A stream over a prebuilt tower charges exactly what the stream that
-    // builds the same tower charges.
-    const auto f = AccessFunction::polynomial(0.35);
-    const std::uint64_t n = 3000;
-    Machine built(f, 4096 + 2 * n), shared(f, 4096 + 2 * n);
-    for (std::uint64_t i = 0; i < n; ++i) built.raw()[4096 + i] = shared.raw()[4096 + i] = i;
-    const StageTower in_lane(shared, 0, 400, 5, 0, 2), out_lane(shared, 0, 400, 5, 1, 2);
-    {
-        StagedReader rd(built, 4096, n, 0, 400, 5, 0, 2);
-        StagedWriter wr(built, 4096 + n, n, 0, 400, 5, 1, 2);
-        while (!rd.done()) {
-            wr.push_from(rd, 5);
-            rd.advance(5);
-        }
-    }
-    {
-        StagedReader rd(shared, 4096, n, in_lane);
-        StagedWriter wr(shared, 4096 + n, n, out_lane);
-        while (!rd.done()) {
-            wr.push_from(rd, 5);
-            rd.advance(5);
-        }
-    }
-    expect_same_state(built, shared);
-    for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(shared.raw()[4096 + n + i], i);
 }
 
 TEST(StagedStreamDeathTest, TowerConstructorsRejectOverlapAndOverflow) {
