@@ -16,9 +16,9 @@
 /// was computed from.
 ///
 /// The base-class cost fold is skipped entirely (total() stays 0; the
-/// exactness contract is waived like LocalitySink's mirror_costs = false
-/// mode): recording is observation-only and lives beside an exact-mirror
-/// sink in a MultiSink when both are wanted.
+/// exactness contract is waived): recording is observation-only and lives
+/// beside an exact-mirror sink, such as a LocalitySink, in a MultiSink when
+/// both are wanted.
 
 #include <algorithm>
 #include <cstdint>

@@ -3,7 +3,7 @@
 namespace dbsp::locality {
 
 void LocalitySink::access(trace::Addr x, double cost) {
-    if (options_.mirror_costs) Sink::access(x, cost);
+    Sink::access(x, cost);
     if (!options_.batched) {
         record(x);
         return;
@@ -20,7 +20,7 @@ void LocalitySink::access(trace::Addr x, double cost) {
 void LocalitySink::access_range(std::span<const double> prefix, trace::Addr begin,
                                 trace::Addr end) {
     flush_run();
-    if (options_.mirror_costs) Sink::access_range(prefix, begin, end);
+    Sink::access_range(prefix, begin, end);
     if (options_.batched) {
         record_range(begin, end, 1);
     } else {
@@ -32,7 +32,7 @@ void LocalitySink::access_range(std::span<const double> prefix, trace::Addr begi
 void LocalitySink::block_op(std::span<const double> prefix, double delta, unsigned touches,
                             std::initializer_list<trace::AddrRange> ranges) {
     flush_run();
-    if (options_.mirror_costs) Sink::block_op(prefix, delta, touches, ranges);
+    Sink::block_op(prefix, delta, touches, ranges);
     for (const trace::AddrRange& r : ranges) {
         if (options_.batched) {
             record_range(r.begin, r.end, touches);
@@ -48,7 +48,7 @@ void LocalitySink::block_op(std::span<const double> prefix, double delta, unsign
 void LocalitySink::block_transfer(trace::Addr src, trace::Addr dst, std::uint64_t len,
                                   double latency, double delta) {
     flush_run();
-    if (options_.mirror_costs) Sink::block_transfer(src, dst, len, latency, delta);
+    Sink::block_transfer(src, dst, len, latency, delta);
     if (options_.batched) {
         record_range(src, src + len, 1);
         record_range(dst, dst + len, 1);

@@ -162,17 +162,17 @@ TEST(RecordingSink, MirrorsTheLocalitySinkLinearizationConventions) {
 
     // The identical calls drive a LocalitySink to the identical reference
     // count — the contract that lets the oracle replay recorded streams
-    // against profiles. mirror_costs = false because these hand-built events
-    // carry no prefix table for the base cost fold (observation-only, like
-    // the RecordingSink itself).
-    LocalityOptions opts;
-    opts.mirror_costs = false;
-    LocalitySink loc(opts);
+    // against profiles. The LocalitySink folds costs like the base sink, so
+    // it gets a real prefix table (one unit per word).
+    std::vector<double> prefix(33);
+    for (std::size_t x = 0; x < prefix.size(); ++x) prefix[x] = static_cast<double>(x);
+    LocalitySink loc;
     loc.access(7, 1.0);
-    loc.access_range({}, 2, 5);
-    loc.block_op({}, 0.0, 2, {{10, 12}});
+    loc.access_range(prefix, 2, 5);
+    loc.block_op(prefix, 4.0, 2, {{10, 12}});
     loc.block_transfer(20, 30, 2, 0.0, 0.0);
     EXPECT_EQ(loc.profile().accesses, rec.stream().size());
+    EXPECT_EQ(loc.total(), 1.0 + 3.0 + 4.0);
 
     rec.clear();
     EXPECT_TRUE(rec.stream().empty());
