@@ -103,7 +103,7 @@ private:
 /// Locality-profiler mode axes, shared by the HMM and BT blocks. \p run
 /// re-executes the simulation with the given sink attached; it must be
 /// deterministic, so every sink sees the identical reference stream.
-///  * batched vs per-word: the engine's O(log n + b) bulk path promises an
+///  * batched vs per-word: the engine's batched bulk path promises an
 ///    event stream — and therefore a profile — bit-identical to feeding
 ///    every word through record() alone;
 ///  * sampled rate 1.0: the SHARDS filter passes every address and all rate
