@@ -18,6 +18,12 @@
 /// on the same bits. One pin runs a transpose-class program with rational
 /// permutations on (Section 6 delivery); the sort pin fixes the BT merge
 /// sort alone, at a size whose staging tower has more than one level.
+///
+/// The executor pins fix, for the same programs, the direct D-BSP machine's
+/// time, the naive BT baseline's bt_cost and the Section 4 self-simulation
+/// at v' = v/4 (host, local and communication time). Each executor has one
+/// accessor path and one cost-table path, so these committed bits are the
+/// reference those paths are held to.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +31,7 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,8 +43,11 @@
 #include "bt/sort.hpp"
 #include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
+#include "core/naive_bt_simulator.hpp"
 #include "core/naive_hmm_simulator.hpp"
+#include "core/self_simulator.hpp"
 #include "core/smoothing.hpp"
+#include "model/dbsp_machine.hpp"
 #include "trace/aggregate.hpp"
 #include "trace/sink.hpp"
 #include "util/rng.hpp"
@@ -190,6 +200,86 @@ TEST(CostPin, SimulatorCostsMatchCommittedBits) {
     for (const Pin& pin : kPins) {
         SCOPED_TRACE(std::string(pin.program) + " f=" + pin.f + " v=" + std::to_string(pin.v));
         check_pin(pin);
+    }
+}
+
+/// Direct machine, naive BT baseline and self-simulation charges of one
+/// kPins program.
+struct ExecutorPin {
+    const char* direct;      ///< DbspMachine time
+    const char* naive_bt;    ///< NaiveBtSimulator bt_cost
+    const char* self_host;   ///< SelfSimulator (v' = v/4) host_time
+    const char* self_local;  ///< ... local_time
+    const char* self_comm;   ///< ... communication_time
+};
+
+// One row per kPins entry, in the same order. Captured and regenerated
+// under the same rule as kPins.
+const ExecutorPin kExecutorPins[std::size(kPins)] = {
+    {"406b3ae7628bb239", "41031b34acbad095", "40d343a10e6823c2", "40d2daaad77b91a2",
+     "4079cd8dbb24879c"},
+    {"4085c741c85d29bd", "415b43dbe96f7343", "40e61d14191438eb", "40e522bb3048dbd8",
+     "409ef31d196ba1e8"},
+    {"40679941b0b61e21", "40f4789969374473", "40d35d4cef68e0f1", "40d312e002ee37fb",
+     "40722b3b1eaa3d1f"},
+    {"407e846f6f19f24c", "413fbc735b1ec6f6", "40e5ef48feb7df90", "40e562f2e185aeae",
+     "409132c3a6461c4c"},
+    {"4073d0c5c63bc425", "41021b5cf8d5208b", "40d44d4b50e3abe5", "40d30dbc14ca4faf",
+     "4093ecf3c195c34c"},
+    {"4088a31f306bec05", "4146408ce9a13e69", "40d6782899f8ad07", "40d30d7c14ca4faf",
+     "40ab4d642972eac0"},
+    {"4062261e82fe51c7", "40eba4698c725312", "40d05ca948291132", "40cfaf306e9cbd48",
+     "40808a221b5651d2"},
+    {"406622d62c04627c", "412192fe28c6e4e4", "40d0b2cf3ef6c1b9", "40cfaeb06e9cbd49",
+     "408b4ee0f50c629e"},
+    {"405ac1554bda99c6", "4119384143c0d246", "40a986cba686973c", "40a61f4dfe3db492",
+     "407b0bed4247154d"},
+};
+
+/// Runs the direct machine and the self-simulation untraced and with a
+/// MultiSink attached, like check_pin; the naive BT baseline takes no sink
+/// and runs once.
+void check_executor_pin(const Pin& pin, const ExecutorPin& expected) {
+    const AccessFunction f = function_named(pin.f);
+    const auto program = make_program(pin.program, pin.v);
+
+    const auto naive_bt = core::NaiveBtSimulator(f).simulate(*program);
+    EXPECT_EQ(bits(naive_bt.bt_cost), expected.naive_bt) << "naive bt_cost";
+
+    for (const bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "MultiSink attached" : "untraced");
+        trace::AggregateSink aggregate;
+        trace::Sink plain;
+        trace::MultiSink multi{&aggregate, &plain};
+        trace::Sink* const sink = traced ? &multi : nullptr;
+        const auto expect_mirror = [&](const char* pinned) {
+            if (!traced) return;
+            EXPECT_EQ(bits(multi.total()), pinned);
+            EXPECT_EQ(bits(aggregate.total()), pinned);
+            EXPECT_EQ(bits(plain.total()), pinned);
+        };
+
+        model::DbspMachine machine(f);
+        machine.set_trace(sink);
+        EXPECT_EQ(bits(machine.run(*program).time), expected.direct) << "direct time";
+        expect_mirror(expected.direct);
+
+        core::SelfSimulator self(f, pin.v / 4);
+        self.set_trace(sink);
+        const auto hosted = self.simulate(*program);
+        EXPECT_EQ(bits(hosted.host_time), expected.self_host) << "self host_time";
+        EXPECT_EQ(bits(hosted.local_time), expected.self_local) << "self local_time";
+        EXPECT_EQ(bits(hosted.communication_time), expected.self_comm)
+            << "self communication_time";
+        expect_mirror(expected.self_host);
+    }
+}
+
+TEST(CostPin, ExecutorCostsMatchCommittedBits) {
+    for (std::size_t i = 0; i < std::size(kPins); ++i) {
+        const Pin& pin = kPins[i];
+        SCOPED_TRACE(std::string(pin.program) + " f=" + pin.f + " v=" + std::to_string(pin.v));
+        check_executor_pin(pin, kExecutorPins[i]);
     }
 }
 
