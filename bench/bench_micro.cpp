@@ -3,9 +3,9 @@
 /// the cost-model machinery fast enough to run the E1-E12 experiments.
 ///
 /// `bench_micro --json [path]` skips google-benchmark and instead times the
-/// E3 simulation workload with the bulk fast path and cost-table cache on
-/// vs. off, writing the measurements (words simulated per second, table
-/// builds avoided, speedup) to BENCH_micro.json.
+/// E3 simulation workload untraced and with each sink attached, writing the
+/// measurements (words simulated per second, table builds avoided, sink
+/// overheads) to BENCH_micro.json.
 
 #include <benchmark/benchmark.h>
 
@@ -27,7 +27,6 @@
 #include "model/cost_table_cache.hpp"
 #include "perf/counters.hpp"
 #include "model/dbsp_machine.hpp"
-#include "model/superstep_exec.hpp"
 #include "report/experiment.hpp"
 #include "report/json.hpp"
 #include "report/provenance.hpp"
@@ -122,14 +121,11 @@ enum class TraceLeg { kNone, kAggregate, kLocality, kLocalitySampled };
 /// SHARDS rate of the sampled locality leg (the production default).
 constexpr double kSampleRate = 0.01;
 
-JsonMeasurement run_e3_workload(std::uint64_t v, int reps, bool fast_paths,
-                                TraceLeg leg = TraceLeg::kNone) {
+JsonMeasurement run_e3_workload(std::uint64_t v, int reps, TraceLeg leg = TraceLeg::kNone) {
     // fill_messages = 8 makes the program full (h = 9): most context words
     // are message records, the regime the bulk delivery path targets.
     constexpr std::size_t kFill = 8;
     const auto f = model::AccessFunction::polynomial(0.5);
-    model::ScopedBulkAccess bulk(fast_paths);
-    model::ScopedCostTableCache cache(fast_paths);
     model::CostTableCache::global().clear();
     const auto stats0 = model::CostTableCache::global().stats();
 
@@ -209,7 +205,7 @@ int run_json_mode(const std::string& path) {
     constexpr int kTracedRounds = 2;
 
     // Warm-up outside the timed region (page faults, first-touch, clocks).
-    (void)run_e3_workload(kProcessors, 1, true);
+    (void)run_e3_workload(kProcessors, 1);
 
     // Alternate the untraced legs, flipping their order every round, and keep
     // each leg's best round: robust against one-sided frequency/cache
@@ -218,24 +214,22 @@ int run_json_mode(const std::string& path) {
     // leg: the LocalitySink disabled path *is* the null-sink path, so its
     // measured overhead is this A/A delta — pure harness noise by
     // construction, which is exactly the claim being audited.
-    JsonMeasurement fast, loff, slow, traced;
+    JsonMeasurement fast, loff, traced;
     bool trace_exact = true;
     bool loc_counts_exact = true;
     std::vector<double> aa_deltas;  // per-round paired A/A deltas, percent
     for (int round = 0; round < kRounds; ++round) {
         JsonMeasurement f, l;
         if (round % 2 == 0) {
-            f = run_e3_workload(kProcessors, kReps, true);
-            l = run_e3_workload(kProcessors, kReps, true);
+            f = run_e3_workload(kProcessors, kReps);
+            l = run_e3_workload(kProcessors, kReps);
         } else {
-            l = run_e3_workload(kProcessors, kReps, true);
-            f = run_e3_workload(kProcessors, kReps, true);
+            l = run_e3_workload(kProcessors, kReps);
+            f = run_e3_workload(kProcessors, kReps);
         }
         aa_deltas.push_back(100.0 * (l.seconds - f.seconds) / f.seconds);
-        const JsonMeasurement s = run_e3_workload(kProcessors, kReps, false);
         if (round == 0 || f.seconds < fast.seconds) fast = f;
         if (round == 0 || l.seconds < loff.seconds) loff = l;
-        if (round == 0 || s.seconds < slow.seconds) slow = s;
     }
     // The paired-median estimator: within each round the two legs run back to
     // back (order flipped every round), so slow monotonic drift — thermal
@@ -249,8 +243,7 @@ int run_json_mode(const std::string& path) {
     // and position bitmap churn the cache, and interleaving them would bleed
     // that pollution into the untraced (disabled-path) timings.
     for (int round = 0; round < kTracedRounds; ++round) {
-        const JsonMeasurement t = run_e3_workload(kProcessors, kReps, true,
-                                                  TraceLeg::kAggregate);
+        const JsonMeasurement t = run_e3_workload(kProcessors, kReps, TraceLeg::kAggregate);
         trace_exact = trace_exact && t.trace_exact;
         if (round == 0 || t.seconds < traced.seconds) traced = t;
     }
@@ -267,15 +260,13 @@ int run_json_mode(const std::string& path) {
     for (int round = 0; round < kEnabledRounds; ++round) {
         JsonMeasurement u, ex, sa;
         if (round % 2 == 0) {
-            u = run_e3_workload(kProcessors, kReps, true);
-            ex = run_e3_workload(kProcessors, kExactReps, true, TraceLeg::kLocality);
-            sa = run_e3_workload(kProcessors, kSampledReps, true,
-                                 TraceLeg::kLocalitySampled);
+            u = run_e3_workload(kProcessors, kReps);
+            ex = run_e3_workload(kProcessors, kExactReps, TraceLeg::kLocality);
+            sa = run_e3_workload(kProcessors, kSampledReps, TraceLeg::kLocalitySampled);
         } else {
-            sa = run_e3_workload(kProcessors, kSampledReps, true,
-                                 TraceLeg::kLocalitySampled);
-            ex = run_e3_workload(kProcessors, kExactReps, true, TraceLeg::kLocality);
-            u = run_e3_workload(kProcessors, kReps, true);
+            sa = run_e3_workload(kProcessors, kSampledReps, TraceLeg::kLocalitySampled);
+            ex = run_e3_workload(kProcessors, kExactReps, TraceLeg::kLocality);
+            u = run_e3_workload(kProcessors, kReps);
         }
         exact_pcts.push_back(100.0 * (u.words_per_sec() / ex.words_per_sec() - 1.0));
         sampled_pcts.push_back(100.0 * (u.words_per_sec() / sa.words_per_sec() - 1.0));
@@ -293,10 +284,9 @@ int run_json_mode(const std::string& path) {
     // legs must see streams of equal length for their scores to be
     // comparable). The absolute score error is the SHARDS estimation error
     // at the production rate, gated by the conformance baseline.
-    const JsonMeasurement acc_exact =
-        run_e3_workload(kProcessors, 1, true, TraceLeg::kLocality);
+    const JsonMeasurement acc_exact = run_e3_workload(kProcessors, 1, TraceLeg::kLocality);
     const JsonMeasurement acc_sampled =
-        run_e3_workload(kProcessors, 1, true, TraceLeg::kLocalitySampled);
+        run_e3_workload(kProcessors, 1, TraceLeg::kLocalitySampled);
     const double sampled_score_abs_err =
         std::abs(acc_sampled.locality_score - acc_exact.locality_score);
     // Hardware-counter leg: the same workload once more with a CounterGroup
@@ -307,11 +297,10 @@ int run_json_mode(const std::string& path) {
     // the PMU is unavailable, e.g. containers without CAP_PERFMON).
     perf::CounterGroup hw_counters;
     hw_counters.start();
-    const JsonMeasurement ctr = run_e3_workload(kProcessors, kReps, true);
+    const JsonMeasurement ctr = run_e3_workload(kProcessors, kReps);
     hw_counters.stop();
     const perf::CounterSnapshot hw_snapshot = hw_counters.read();
     const bool costs_counters = ctr.hmm_cost == fast.hmm_cost;
-    const double speedup = fast.seconds > 0.0 ? slow.seconds / fast.seconds : 0.0;
     // The untraced leg runs with the null sink, i.e. it *is* the disabled
     // path whose overhead must stay within noise; the traced legs measure
     // the cost of attaching each sink. The AggregateSink's overhead compares
@@ -335,11 +324,8 @@ int run_json_mode(const std::string& path) {
     measurements.set("bulk_with_cache_traced", measurement_json(traced));
     measurements.set("bulk_with_cache_locality", measurement_json(locon));
     measurements.set("bulk_with_cache_locality_sampled", measurement_json(locsamp));
-    measurements.set("per_word_no_cache", measurement_json(slow));
     measurements.set("bulk_with_cache_counters", measurement_json(ctr));
     doc.set("measurements", std::move(measurements));
-    doc.set("speedup_bulk_vs_per_word", speedup);
-    doc.set("costs_bit_identical", fast.hmm_cost == slow.hmm_cost);
     doc.set("costs_bit_identical_counters", costs_counters);
     doc.set("counters", hw_snapshot.to_json());
     doc.set("tracing_overhead_pct", tracing_overhead_pct);
@@ -360,13 +346,10 @@ int run_json_mode(const std::string& path) {
 
     std::printf("E3 workload (v=%llu, %d reps):\n",
                 static_cast<unsigned long long>(kProcessors), kReps);
-    std::printf("  bulk+cache:    %.3fs  (%.0f words/s, %llu table builds, %llu avoided)\n",
+    std::printf("  untraced:      %.3fs  (%.0f words/s, %llu table builds, %llu avoided)\n",
                 fast.seconds, fast.words_per_sec(),
                 static_cast<unsigned long long>(fast.table_builds),
                 static_cast<unsigned long long>(fast.builds_avoided));
-    std::printf("  per-word:      %.3fs  (%.0f words/s, %llu table builds)\n",
-                slow.seconds, slow.words_per_sec(),
-                static_cast<unsigned long long>(slow.table_builds));
     std::printf("  traced:        %.3fs  (AggregateSink attached, overhead %+.1f%%, "
                 "mirror exact: %s)\n",
                 traced.seconds, tracing_overhead_pct, trace_exact ? "yes" : "NO");
@@ -381,10 +364,8 @@ int run_json_mode(const std::string& path) {
                 "%+.1f%%, score abs err %.4f)\n",
                 locsamp.seconds, kSampleRate, kSampledReps,
                 locality_sampled_overhead_pct, sampled_score_abs_err);
-    std::printf("  speedup:       %.2fx   costs bit-identical: %s\n", speedup,
-                fast.hmm_cost == slow.hmm_cost ? "yes" : "NO");
     std::printf("  wrote %s\n", path.c_str());
-    const bool ok = fast.hmm_cost == slow.hmm_cost && trace_exact && loc_counts_exact &&
+    const bool ok = loff.hmm_cost == fast.hmm_cost && trace_exact && loc_counts_exact &&
                     traced.hmm_cost == fast.hmm_cost && locon.hmm_cost == fast.hmm_cost &&
                     locsamp.hmm_cost == fast.hmm_cost;
     return ok ? 0 : 2;

@@ -13,10 +13,8 @@
 #include "core/smoothing.hpp"
 #include "locality/cache_model.hpp"
 #include "locality/sink.hpp"
-#include "model/cost_table_cache.hpp"
 #include "model/dbsp_machine.hpp"
 #include "model/recorded_program.hpp"
-#include "model/superstep_exec.hpp"
 #include "report/metrics.hpp"
 #include "trace/sink.hpp"
 #include "util/contracts.hpp"
@@ -70,8 +68,8 @@ public:
 
     void check_cost(const std::string& tag, const std::string& what, double expected,
                     double actual) {
-        // Bit-identical, not approximately equal: the mode axes promise the
-        // exact same fold of the exact same doubles.
+        // Bit-identical, not approximately equal: a traced re-run promises
+        // the exact same fold of the exact same doubles.
         if (expected != actual) {
             std::ostringstream os;
             os.precision(17);
@@ -293,15 +291,12 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
         Reporter rep(report, "f=" + f.name());
 
         // --- direct executor: the functional + cost reference -------------
-        const auto run_direct = [&](bool bulk, bool cache,
-                                    trace::Sink* sink) -> model::DbspResult {
-            model::ScopedBulkAccess sb(bulk);
-            model::ScopedCostTableCache sc(cache);
+        const auto run_direct = [&](trace::Sink* sink) -> model::DbspResult {
             model::DbspMachine machine(f);
             machine.set_trace(sink);
             return machine.run(program);
         };
-        const model::DbspResult ref = run_direct(true, true, nullptr);
+        const model::DbspResult ref = run_direct(nullptr);
         const auto ref_images = images_of(ref.contexts, layout);
 
         {
@@ -320,21 +315,16 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_cost("direct-cost-fold", "sum of superstep costs vs total", ref.time,
                            fold);
         }
-        for (const bool bulk : {false, true}) {
-            const model::DbspResult alt = run_direct(bulk, /*cache=*/bulk, nullptr);
-            rep.check_cost("direct-cost-mode",
-                           bulk ? "bulk direct time" : "per-word direct time", ref.time,
-                           alt.time);
-            rep.check_images("direct-image-mode",
-                             bulk ? "bulk direct image" : "per-word direct image",
-                             ref.contexts, alt.contexts);
-        }
         {
+            // The traced re-run doubles as the purity check: a program whose
+            // step() is not a pure function of its context diverges here.
             trace::Sink sink;
-            const model::DbspResult traced = run_direct(true, true, &sink);
+            const model::DbspResult traced = run_direct(&sink);
             rep.check_cost("direct-trace", "trace mirror vs direct time", traced.time,
                            sink.total());
             rep.check_cost("direct-cost-mode", "traced direct time", ref.time, traced.time);
+            rep.check_images("direct-image-mode", "traced direct image", ref.contexts,
+                             traced.contexts);
         }
 
         // --- HMM simulator on an hmm_label_set smoothing ------------------
@@ -352,26 +342,14 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_images("smooth-hmm-image", "direct run of smoothed program",
                              ref_images, images_of(sm_direct.contexts, layout));
 
-            const auto run_hmm = [&](bool bulk, bool cache,
-                                     trace::Sink* sink) -> core::HmmSimResult {
-                model::ScopedBulkAccess sb(bulk);
-                model::ScopedCostTableCache sc(cache);
+            const auto run_hmm = [&](trace::Sink* sink) -> core::HmmSimResult {
                 core::HmmSimulator::Options opt;
                 opt.trace = sink;
                 return core::HmmSimulator(f, opt).simulate(*smoothed);
             };
-            const core::HmmSimResult hmm = run_hmm(true, true, nullptr);
+            const core::HmmSimResult hmm = run_hmm(nullptr);
             rep.check_images("hmm-image", "HMM simulation image", ref_images,
                              images_of(hmm.contexts, layout));
-            for (const auto& [bulk, cache] :
-                 {std::pair{false, true}, std::pair{true, false}, std::pair{false, false}}) {
-                const core::HmmSimResult alt = run_hmm(bulk, cache, nullptr);
-                std::ostringstream what;
-                what << "HMM cost (bulk=" << bulk << " cache=" << cache << ")";
-                rep.check_cost("hmm-cost-mode", what.str(), hmm.hmm_cost, alt.hmm_cost);
-                rep.check_images("hmm-image-mode", what.str() + " image", hmm.contexts,
-                                 alt.contexts);
-            }
             {
                 // A LocalitySink is a Sink, so it must keep the exact cost
                 // mirror — and its reference count must equal the machine's
@@ -382,12 +360,14 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                 locality::LocalitySink sink;
                 auto& touched = report::metric_counter("hmm.words_touched");
                 const std::uint64_t touched_before = touched.value();
-                const core::HmmSimResult traced = run_hmm(true, true, &sink);
+                const core::HmmSimResult traced = run_hmm(&sink);
                 const std::uint64_t touched_delta = touched.value() - touched_before;
                 rep.check_cost("hmm-trace", "trace mirror vs hmm_cost", traced.hmm_cost,
                                sink.total());
                 rep.check_cost("hmm-cost-mode", "traced HMM cost", hmm.hmm_cost,
                                traced.hmm_cost);
+                rep.check_images("hmm-image-mode", "traced HMM image", hmm.contexts,
+                                 traced.contexts);
                 if (sink.recorded_accesses() != traced.words_touched) {
                     std::ostringstream os;
                     os << "LocalitySink recorded " << sink.recorded_accesses()
@@ -405,7 +385,7 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             if (config.check_locality) {
                 check_locality_modes(rep, "hmm-locality-modes",
                                      [&](locality::LocalitySink& sink) {
-                                         (void)run_hmm(true, true, &sink);
+                                         (void)run_hmm(&sink);
                                      });
             }
             if (config.check_bounds && v >= kBoundMinProcessors) {
@@ -435,26 +415,14 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_images("smooth-bt-image", "direct run of BT-smoothed program",
                              ref_images, images_of(sm_direct.contexts, layout));
 
-            const auto run_bt = [&](bool bulk, bool cache,
-                                    trace::Sink* sink) -> core::BtSimResult {
-                model::ScopedBulkAccess sb(bulk);
-                model::ScopedCostTableCache sc(cache);
+            const auto run_bt = [&](trace::Sink* sink) -> core::BtSimResult {
                 core::BtSimulator::Options opt;
                 opt.trace = sink;
                 return core::BtSimulator(f, opt).simulate(*smoothed);
             };
-            const core::BtSimResult bt = run_bt(true, true, nullptr);
+            const core::BtSimResult bt = run_bt(nullptr);
             rep.check_images("bt-image", "BT simulation image", ref_images,
                              images_of(bt.contexts, layout));
-            for (const auto& [bulk, cache] :
-                 {std::pair{false, true}, std::pair{true, false}, std::pair{false, false}}) {
-                const core::BtSimResult alt = run_bt(bulk, cache, nullptr);
-                std::ostringstream what;
-                what << "BT cost (bulk=" << bulk << " cache=" << cache << ")";
-                rep.check_cost("bt-cost-mode", what.str(), bt.bt_cost, alt.bt_cost);
-                rep.check_images("bt-image-mode", what.str() + " image", bt.contexts,
-                                 alt.contexts);
-            }
             {
                 // Same invariant on the BT side: the sink's per-stream word
                 // counts must match the counters bt::Machine publishes when
@@ -465,13 +433,15 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                 auto& transfer_words = report::metric_counter("bt.transfer_words");
                 const std::uint64_t ranged_before = range_words.value();
                 const std::uint64_t transferred_before = transfer_words.value();
-                const core::BtSimResult traced = run_bt(true, true, &sink);
+                const core::BtSimResult traced = run_bt(&sink);
                 const std::uint64_t ranged = range_words.value() - ranged_before;
                 const std::uint64_t transferred =
                     transfer_words.value() - transferred_before;
                 rep.check_cost("bt-trace", "trace mirror vs bt_cost", traced.bt_cost,
                                sink.total());
                 rep.check_cost("bt-cost-mode", "traced BT cost", bt.bt_cost, traced.bt_cost);
+                rep.check_images("bt-image-mode", "traced BT image", bt.contexts,
+                                 traced.contexts);
                 if (sink.range_words() != ranged) {
                     std::ostringstream os;
                     os << "LocalitySink saw " << sink.range_words()
@@ -489,7 +459,7 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             if (config.check_locality) {
                 check_locality_modes(rep, "bt-locality-modes",
                                      [&](locality::LocalitySink& sink) {
-                                         (void)run_bt(true, true, &sink);
+                                         (void)run_bt(&sink);
                                      });
             }
             {
@@ -522,69 +492,43 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
 
         // --- naive (pinned-context) baselines -----------------------------
         {
-            const auto run_naive_hmm = [&](bool bulk, bool cache,
-                                           trace::Sink* sink) -> core::HmmSimResult {
-                model::ScopedBulkAccess sb(bulk);
-                model::ScopedCostTableCache sc(cache);
+            const auto run_naive_hmm = [&](trace::Sink* sink) -> core::HmmSimResult {
                 core::NaiveHmmSimulator::Options opt;
                 opt.trace = sink;
                 return core::NaiveHmmSimulator(f, opt).simulate(program);
             };
-            const core::HmmSimResult nh = run_naive_hmm(true, true, nullptr);
+            const core::HmmSimResult nh = run_naive_hmm(nullptr);
             rep.check_images("naive-hmm-image", "naive HMM image", ref_images,
                              images_of(nh.contexts, layout));
-            const core::HmmSimResult nh_alt = run_naive_hmm(false, false, nullptr);
-            rep.check_cost("naive-hmm-cost-mode", "per-word naive HMM cost", nh.hmm_cost,
-                           nh_alt.hmm_cost);
-            rep.check_images("naive-hmm-image", "per-word naive HMM image", nh.contexts,
-                             nh_alt.contexts);
             {
                 trace::Sink sink;
-                const core::HmmSimResult traced = run_naive_hmm(true, true, &sink);
+                const core::HmmSimResult traced = run_naive_hmm(&sink);
                 rep.check_cost("naive-hmm-trace", "trace mirror vs naive hmm_cost",
                                traced.hmm_cost, sink.total());
                 rep.check_cost("naive-hmm-cost-mode", "traced naive HMM cost", nh.hmm_cost,
                                traced.hmm_cost);
             }
 
-            const auto run_naive_bt = [&](bool bulk, bool cache) -> core::BtSimResult {
-                model::ScopedBulkAccess sb(bulk);
-                model::ScopedCostTableCache sc(cache);
-                return core::NaiveBtSimulator(f).simulate(program);
-            };
-            const core::BtSimResult nb = run_naive_bt(true, true);
+            const core::BtSimResult nb = core::NaiveBtSimulator(f).simulate(program);
             rep.check_images("naive-bt-image", "naive BT image", ref_images,
                              images_of(nb.contexts, layout));
-            const core::BtSimResult nb_alt = run_naive_bt(false, false);
-            rep.check_cost("naive-bt-cost-mode", "per-word naive BT cost", nb.bt_cost,
-                           nb_alt.bt_cost);
-            rep.check_images("naive-bt-image", "per-word naive BT image", nb.contexts,
-                             nb_alt.contexts);
         }
 
         // --- Section 4 self-simulation ------------------------------------
         if (config.check_self_sim) {
             for (const std::uint64_t v_prime : self_sim_hosts(v)) {
-                const auto run_self = [&](bool bulk, bool cache,
-                                          trace::Sink* sink) -> core::SelfSimResult {
-                    model::ScopedBulkAccess sb(bulk);
-                    model::ScopedCostTableCache sc(cache);
+                const auto run_self = [&](trace::Sink* sink) -> core::SelfSimResult {
                     core::SelfSimulator sim(f, v_prime);
                     sim.set_trace(sink);
                     return sim.simulate(program);
                 };
-                const core::SelfSimResult self = run_self(true, true, nullptr);
+                const core::SelfSimResult self = run_self(nullptr);
                 std::ostringstream what;
                 what << "self-sim v'=" << v_prime;
                 rep.check_images("self-image", what.str() + " image", ref_images,
                                  images_of(self.contexts, layout));
-                const core::SelfSimResult alt = run_self(false, false, nullptr);
-                rep.check_cost("self-cost-mode", what.str() + " per-word host time",
-                               self.host_time, alt.host_time);
-                rep.check_images("self-image", what.str() + " per-word image",
-                                 self.contexts, alt.contexts);
                 trace::Sink sink;
-                const core::SelfSimResult traced = run_self(true, true, &sink);
+                const core::SelfSimResult traced = run_self(&sink);
                 rep.check_cost("self-trace", what.str() + " trace mirror", traced.host_time,
                                sink.total());
                 rep.check_cost("self-cost-mode", what.str() + " traced host time",

@@ -1,22 +1,26 @@
 #pragma once
 
 /// \file differential.hpp
-/// The differential oracle: run one D-BSP program through every executor and
-/// mode combination and cross-check the results.
+/// The differential oracle: run one D-BSP program through every executor,
+/// untraced and traced, and cross-check the results.
 ///
 /// Executors covered: direct DbspMachine, HmmSimulator (Figure-1 scheduling,
 /// on a hmm_label_set-smoothed relabeling), BtSimulator (on a bt_label_set
 /// smoothing), NaiveHmmSimulator, NaiveBtSimulator, and SelfSimulator at up
-/// to three host sizes v' | v. Mode axes crossed on each: bulk vs per-word
-/// accessors (ScopedBulkAccess), cached vs uncached cost tables
-/// (ScopedCostTableCache), traced vs untraced (trace::Sink mirror).
+/// to three host sizes v' | v. Each executor has one accessor path and one
+/// cost-table path; the mode axis left to cross is traced vs untraced
+/// (trace::Sink mirror, which also picks the traced accessor templates).
+/// The charged costs themselves are held to committed bits by the CostPin
+/// tests, not by this oracle.
 ///
 /// Checks, in decreasing order of strength:
 ///  * functional: every executor ends with the identical observable memory
 ///    image — data words, unread inbox (count + records in canonical
 ///    delivery order), and drained out-buffer count;
-///  * cost determinism: within one executor, charged cost is bit-identical
-///    across every bulk/cache/trace combination;
+///  * determinism: within one executor, the traced re-run charges the
+///    bit-identical cost (and, for the direct machine and the HMM and BT
+///    simulators, ends with the identical image), so an impure step()
+///    surfaces as a mode divergence;
 ///  * trace mirror: an attached sink's total() equals the executor's charged
 ///    cost bit for bit;
 ///  * locality modes: the profiler's batched fast path reproduces the
@@ -46,7 +50,7 @@
 namespace dbsp::check {
 
 /// One observed discrepancy. `tag` is a stable machine-readable identifier of
-/// the check that fired (e.g. "hmm-image", "bt-cost-bulk"); the shrinker uses
+/// the check that fired (e.g. "hmm-image", "bt-cost-mode"); the shrinker uses
 /// it to keep reducing the *same* bug. `detail` is human-readable.
 struct DiffFailure {
     std::string tag;

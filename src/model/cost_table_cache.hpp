@@ -24,15 +24,10 @@
 /// rebuilds the identical prefix array (the build is a deterministic running
 /// sum of f), so only the builds/hits split changes, never a charged value.
 ///
-/// Disabling: set_enabled(false) drops the cache's *own* references so later
-/// requests build fresh, but every table is handed out as a
-/// shared_ptr<const CostTable> — tables concurrent workers already hold stay
-/// alive and immutable for as long as they keep the pointer. A
-/// ScopedCostTableCache(false) inside one parallel_for worker therefore
-/// cannot invalidate another worker's table (regression test:
-/// CostTableCache.DisableInOneWorkerCannotInvalidateConcurrentTables). The
-/// enabled flag itself is process-global, so concurrent scoped toggles race
-/// on *cache effectiveness* (hit rates), never on correctness.
+/// Every table is handed out as a shared_ptr<const CostTable>, so clear()
+/// and eviction drop only the cache's own references: a table a worker
+/// already holds stays alive and immutable for as long as it keeps the
+/// pointer.
 
 #include <cstdint>
 #include <list>
@@ -51,9 +46,7 @@ public:
     static CostTableCache& global();
 
     /// A table for \p f over [0, capacity): cached, sliced from a larger
-    /// cached table, or freshly built (and cached) as needed. When the cache
-    /// is disabled every call builds a fresh private table (the seed
-    /// behaviour, kept for the bit-for-bit cross-checks).
+    /// cached table, or freshly built (and cached) as needed.
     std::shared_ptr<const CostTable> get(const AccessFunction& f, std::uint64_t capacity);
 
     struct Stats {
@@ -69,11 +62,8 @@ public:
     /// Drop all cached tables (stats are kept).
     void clear();
 
-    void set_enabled(bool enabled);
-    bool enabled() const;
-
     /// LRU bound on distinct cached keys. Setting a smaller bound evicts
-    /// immediately; 0 is rejected (use set_enabled(false) to bypass caching).
+    /// immediately; 0 is ignored.
     void set_max_entries(std::size_t max_entries);
     std::size_t max_entries() const;
 
@@ -98,27 +88,11 @@ private:
     void enforce_cap();
 
     mutable std::mutex mutex_;
-    bool enabled_ = true;
     Stats stats_;
     std::size_t max_entries_ = kDefaultMaxEntries;
     /// Keys ordered most- to least-recently used; back() evicts first.
     std::list<std::string> lru_;
     std::unordered_map<std::string, Entry> tables_;
-};
-
-/// RAII helper for tests: force the cache on/off within a scope.
-class ScopedCostTableCache {
-public:
-    explicit ScopedCostTableCache(bool enabled)
-        : previous_(CostTableCache::global().enabled()) {
-        CostTableCache::global().set_enabled(enabled);
-    }
-    ~ScopedCostTableCache() { CostTableCache::global().set_enabled(previous_); }
-    ScopedCostTableCache(const ScopedCostTableCache&) = delete;
-    ScopedCostTableCache& operator=(const ScopedCostTableCache&) = delete;
-
-private:
-    bool previous_;
 };
 
 }  // namespace dbsp::model

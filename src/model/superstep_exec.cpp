@@ -1,31 +1,17 @@
 #include "model/superstep_exec.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "report/metrics.hpp"
 #include "util/contracts.hpp"
 
 namespace dbsp::model {
 
-namespace {
-
-std::atomic<bool> g_bulk_access{true};
-
-}  // namespace
-
-bool bulk_access_enabled() { return g_bulk_access.load(std::memory_order_relaxed); }
-
-void set_bulk_access_enabled(bool enabled) {
-    g_bulk_access.store(enabled, std::memory_order_relaxed);
-}
-
 std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uint64_t count,
                              AccessorSource& contexts, ProcId id_base,
                              DeliveryScratch* scratch) {
     DeliveryScratch local;
     DeliveryScratch& sc = scratch ? *scratch : local;
-    const bool bulk = bulk_access_enabled();
     const std::uint64_t nblocks = (count + kFoldBlockProcs - 1) / kFoldBlockProcs;
 
     // Phase 1: collect messages from the senders' outgoing buffers, in
@@ -43,33 +29,20 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
             ContextAccessor& acc = contexts.at(p);
             const auto sent = static_cast<std::size_t>(acc.get(layout.out_count_offset()));
             DBSP_ASSERT(sent <= layout.max_messages);
-            if (bulk) {
-                // One range read covers the whole outgoing record block: the
-                // records are contiguous, and the fused per-cell charge loop
-                // walks the same ascending addresses as the per-word path.
-                sc.words.resize(ContextLayout::kRecordWords * sent);
-                acc.get_range(layout.out_record_offset(0), sc.words);
-                for (std::size_t k = 0; k < sent; ++k) {
-                    const Word* rec = sc.words.data() + ContextLayout::kRecordWords * k;
-                    Message m;
-                    m.src = id_base + p;  // inboxes carry global source ids
-                    m.dest = rec[0];
-                    m.payload0 = rec[1];
-                    m.payload1 = rec[2];
-                    DBSP_ASSERT(m.dest >= first && m.dest < first + count);
-                    pending.push_back(m);
-                }
-            } else {
-                for (std::size_t k = 0; k < sent; ++k) {
-                    const std::size_t off = layout.out_record_offset(k);
-                    Message m;
-                    m.src = id_base + p;
-                    m.dest = acc.get(off);
-                    m.payload0 = acc.get(off + 1);
-                    m.payload1 = acc.get(off + 2);
-                    DBSP_ASSERT(m.dest >= first && m.dest < first + count);
-                    pending.push_back(m);
-                }
+            // One range read covers the whole outgoing record block: the
+            // records are contiguous, and the fused per-cell charge loop walks
+            // them in ascending address order.
+            sc.words.resize(ContextLayout::kRecordWords * sent);
+            acc.get_range(layout.out_record_offset(0), sc.words);
+            for (std::size_t k = 0; k < sent; ++k) {
+                const Word* rec = sc.words.data() + ContextLayout::kRecordWords * k;
+                Message m;
+                m.src = id_base + p;  // inboxes carry global source ids
+                m.dest = rec[0];
+                m.payload0 = rec[1];
+                m.payload1 = rec[2];
+                DBSP_ASSERT(m.dest >= first && m.dest < first + count);
+                pending.push_back(m);
             }
             if (sent > 0) {
                 acc.set(layout.out_count_offset(), 0);
@@ -113,14 +86,8 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
             auto in_count = static_cast<std::size_t>(acc.get(layout.in_count_offset()));
             DBSP_REQUIRE(in_count < layout.max_messages);
             const std::size_t off = layout.in_record_offset(in_count);
-            if (bulk) {
-                const Word rec[ContextLayout::kRecordWords] = {m.src, m.payload0, m.payload1};
-                acc.set_range(off, rec);
-            } else {
-                acc.set(off, m.src);
-                acc.set(off + 1, m.payload0);
-                acc.set(off + 2, m.payload1);
-            }
+            const Word rec[ContextLayout::kRecordWords] = {m.src, m.payload0, m.payload1};
+            acc.set_range(off, rec);
             acc.set(layout.in_count_offset(), in_count + 1);
             max_received = std::max(max_received, ++sc.received[m.dest - first]);
         }

@@ -94,28 +94,6 @@ struct DeliveryScratch {
     std::vector<std::size_t> received;
 };
 
-/// Process-wide switch for the bulk (range) accessor fast path in
-/// deliver_messages and the simulators' buffer scans. On by default; the
-/// cross-check tests and the bench_micro baseline disable it to reproduce the
-/// seed per-word code path (whose charged totals the fast path matches bit
-/// for bit).
-bool bulk_access_enabled();
-void set_bulk_access_enabled(bool enabled);
-
-/// RAII helper: force the bulk fast path on/off within a scope.
-class ScopedBulkAccess {
-public:
-    explicit ScopedBulkAccess(bool enabled) : previous_(bulk_access_enabled()) {
-        set_bulk_access_enabled(enabled);
-    }
-    ~ScopedBulkAccess() { set_bulk_access_enabled(previous_); }
-    ScopedBulkAccess(const ScopedBulkAccess&) = delete;
-    ScopedBulkAccess& operator=(const ScopedBulkAccess&) = delete;
-
-private:
-    bool previous_;
-};
-
 /// Deliver all pending outgoing messages of processors [first, first + count)
 /// into their destination inboxes (destinations must lie in the same range for
 /// a well-formed i-superstep; callers validate cluster membership at send

@@ -21,14 +21,12 @@ std::optional<MicroData> MicroData::from_json(const Json& j, std::string* error)
         return std::nullopt;
     }
     m.bulk_words_per_sec = bulk["words_per_sec"].as_double();
-    m.speedup = j["speedup_bulk_vs_per_word"].as_double(0.0);
     m.tracing_overhead_pct = j["tracing_overhead_pct"].as_double(0.0);
     m.locality_overhead_pct = j["locality_overhead_pct"].as_double(0.0);
     m.locality_enabled_overhead_pct = j["locality_enabled_overhead_pct"].as_double(0.0);
     m.locality_sampled_overhead_pct = j["locality_sampled_overhead_pct"].as_double(0.0);
     m.locality_sampled_score_abs_err =
         j["locality_sampled_score_abs_err"].as_double(0.0);
-    m.costs_bit_identical = j["costs_bit_identical"].as_bool(true);
     m.trace_exact = j["trace_total_equals_cost"].as_bool(true);
     m.locality_counts_exact = j["locality_counts_exact"].as_bool(true);
     m.counters_cost_bit_identical = j["costs_bit_identical_counters"].as_bool(true);
@@ -48,8 +46,8 @@ bool CombinedReport::pass() const {
     for (const auto& e : experiments) {
         if (!e.pass()) return false;
     }
-    if (micro && !(micro->costs_bit_identical && micro->trace_exact &&
-                   micro->locality_counts_exact && micro->counters_cost_bit_identical)) {
+    if (micro && !(micro->trace_exact && micro->locality_counts_exact &&
+                   micro->counters_cost_bit_identical)) {
         return false;
     }
     return true;
@@ -240,8 +238,7 @@ std::string CombinedReport::markdown(const CombinedReport* baseline) const {
 
     if (micro) {
         out += "\n## Harness microbenchmark (wall-clock, not a paper claim)\n\n";
-        out += "- bulk path: " + fmt(micro->bulk_words_per_sec) + " words/s\n";
-        out += "- bulk-vs-per-word speedup: " + fmt(micro->speedup) + "x\n";
+        out += "- untraced throughput: " + fmt(micro->bulk_words_per_sec) + " words/s\n";
         out += "- tracing overhead (AggregateSink attached): " +
                fmt(micro->tracing_overhead_pct) + "%\n";
         out += "- locality profiling overhead: disabled path " +
@@ -250,8 +247,7 @@ std::string CombinedReport::markdown(const CombinedReport* baseline) const {
                fmt(micro->locality_enabled_overhead_pct) + "%, sampled engine " +
                fmt(micro->locality_sampled_overhead_pct) + "% (score abs err " +
                fmt(micro->locality_sampled_score_abs_err) + ")\n";
-        out += std::string("- costs bit-identical: ") +
-               (micro->costs_bit_identical ? "yes" : "**NO**") + ", trace mirror exact: " +
+        out += std::string("- trace mirror exact: ") +
                (micro->trace_exact ? "yes" : "**NO**") + ", locality counts exact: " +
                (micro->locality_counts_exact ? "yes" : "**NO**") +
                ", counter leg cost bit-identical: " +
@@ -355,9 +351,6 @@ std::vector<std::string> gate_violations(const CombinedReport& current,
         if (drop_pct > options.perf_drop_pct) {
             violation("micro: bulk-path words/sec regressed " + fmt(drop_pct) +
                       "% vs baseline (allowed " + fmt(options.perf_drop_pct) + "%)");
-        }
-        if (!current.micro->costs_bit_identical) {
-            violation("micro: bulk and per-word paths no longer charge bit-identical costs");
         }
         if (!current.micro->trace_exact) {
             violation("micro: trace mirror no longer equals charged cost");

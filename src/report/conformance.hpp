@@ -35,7 +35,6 @@ namespace dbsp::report {
 struct MicroData {
     Json raw;
     double bulk_words_per_sec = 0.0;
-    double speedup = 0.0;
     double tracing_overhead_pct = 0.0;
     /// A/A re-measurement of the untraced leg: the LocalitySink disabled
     /// path *is* the null-sink path, so this is its measured overhead.
@@ -48,7 +47,6 @@ struct MicroData {
     /// |sampled score - exact score| over one rep of the E3 workload: the
     /// SHARDS estimation error at the production rate.
     double locality_sampled_score_abs_err = 0.0;
-    bool costs_bit_identical = true;
     bool trace_exact = true;
     /// LocalitySink reference counts matched words_touched on every rep.
     bool locality_counts_exact = true;

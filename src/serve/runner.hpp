@@ -68,7 +68,10 @@ std::string fingerprint(const check::ProgramSpec& spec, const RunOptions& option
 /// the deterministic result document. When \p span is non-null the executor
 /// legs attach a telemetry::SpanSink through the existing trace phase-scope
 /// hooks and append one leg span each ("dbsp" / "hmm" / "bt", with
-/// superstep-granularity children); the slack fields mirror the cost and
+/// superstep-granularity children). Attaching that sink puts each leg on the
+/// traced per-word accessors, so an observed run pays a virtual no-op per
+/// charged word (see telemetry::SpanSink and the ROADMAP item "Per-layer
+/// wall-clock profile"). The slack fields mirror the cost and
 /// bound values the document itself carries, so the telemetry layer can
 /// gauge measured-cost-over-theorem-bound without re-parsing the reply.
 /// Observation is strictly read-alongside: the returned bytes are

@@ -80,10 +80,14 @@ private:
 
 /// trace::Sink adapter that turns the simulators' phase scopes (and the
 /// direct machine's superstep events) into timed spans. Charge events are
-/// deliberately no-ops: the base class's exact per-word mirror folding is
-/// the expensive path tracing pays for bit-identity audits, and spans need
-/// none of it — attaching a SpanSink costs one virtual call per *phase*,
-/// not per word.
+/// no-ops: spans need none of the base class's exact cost mirror. They are
+/// not free, though. Any attached sink switches the executors to their
+/// traced accessors (HmmSimulator picks HmmShardSource<true>, and the HMM
+/// and BT machines hand every charged word to the sink), so a SpanSink pays
+/// one virtual no-op call per charged *word*, on top of its per-phase
+/// spans. Every serve request attaches one. ROADMAP.md, "Per-layer
+/// wall-clock profile, with phase-only observers kept on the fast path",
+/// tracks the fix.
 ///
 /// Detail is bounded: the first kMaxDetail phase instances are recorded as
 /// individual spans ("superstep[i]" resolution — each simulator round is one

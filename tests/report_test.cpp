@@ -235,17 +235,16 @@ TEST(Provenance, FromJsonDefaultsMissingFields) {
 
 // --- combined report + gate -------------------------------------------------
 
-Json micro_doc(double words_per_sec, bool bit_identical = true, bool trace_exact = true) {
+Json micro_doc(double words_per_sec, bool trace_exact = true, bool counts_exact = true) {
     Json bulk = Json::object();
     bulk.set("words_per_sec", words_per_sec);
     Json measurements = Json::object();
     measurements.set("bulk_with_cache", std::move(bulk));
     Json doc = Json::object();
     doc.set("measurements", std::move(measurements));
-    doc.set("speedup_bulk_vs_per_word", 5.0);
     doc.set("tracing_overhead_pct", 10.0);
-    doc.set("costs_bit_identical", bit_identical);
     doc.set("trace_total_equals_cost", trace_exact);
+    doc.set("locality_counts_exact", counts_exact);
     return doc;
 }
 
@@ -363,7 +362,7 @@ TEST(Gate, PassesAgainstItselfAndCatchesEachRegressionKind) {
         cur.micro = *MicroData::from_json(micro_doc(1e6, false, false), &error);
         EXPECT_FALSE(cur.pass());
         const auto v = report::gate_violations(cur, base, opts);
-        EXPECT_EQ(v.size(), 2u);  // bit-identical + trace mirror
+        EXPECT_EQ(v.size(), 2u);  // trace mirror + locality counts
     }
 }
 

@@ -446,11 +446,10 @@ TEST(CostTableCacheLru, EvictionNeverChangesChargedCosts) {
     cache.get(model::AccessFunction::polynomial(0.48), 64);  // evicts f
     const auto rebuilt = cache.get(f, 64);  // rebuilt after eviction
 
-    model::ScopedCostTableCache off(false);
-    const auto cold = cache.get(f, 64);  // fresh private build, the seed path
+    const model::CostTable cold(f, 64);  // fresh private build
     for (std::uint64_t x = 0; x < 64; ++x) {
-        EXPECT_EQ(rebuilt->cost(x), cold->cost(x)) << "x=" << x;
-        EXPECT_EQ(warm->cost(x), cold->cost(x)) << "x=" << x;
+        EXPECT_EQ(rebuilt->cost(x), cold.cost(x)) << "x=" << x;
+        EXPECT_EQ(warm->cost(x), cold.cost(x)) << "x=" << x;
     }
 
     cache.set_max_entries(old_cap);

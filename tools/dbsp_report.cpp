@@ -275,9 +275,9 @@ int main(int argc, char** argv) {
                     e.checks.size(), e.pass() ? "PASS" : "FAIL");
     }
     if (current.micro) {
-        std::printf("micro: %.0f words/s bulk, %.2fx speedup, costs bit-identical: %s\n",
-                    current.micro->bulk_words_per_sec, current.micro->speedup,
-                    current.micro->costs_bit_identical ? "yes" : "NO");
+        std::printf("micro: %.0f words/s, trace mirror exact: %s\n",
+                    current.micro->bulk_words_per_sec,
+                    current.micro->trace_exact ? "yes" : "NO");
     }
     std::printf("experiments: %zu   checks: %d/%d pass\n", current.experiments.size(),
                 checks_passed, checks_total);
