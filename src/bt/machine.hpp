@@ -49,6 +49,22 @@ struct ShardAccount {
         cost += c;
         unit_ops += c;
     }
+
+    /// Mirror of Machine::read/write's accounting of one word costing
+    /// \p delta.
+    void word(double delta) {
+        cost += delta;
+        word_access += delta;
+    }
+
+    /// Mirror of Machine::read_range/write_range's accounting of [begin, end),
+    /// end > begin: cost and word_access each folded on its own.
+    void range(const model::CostTable& table, Addr begin, Addr end) {
+        cost = table.accumulate(begin, end, cost);
+        word_access = table.accumulate(begin, end, word_access);
+        ++range_ops;
+        range_words += end - begin;
+    }
 };
 
 class Machine {

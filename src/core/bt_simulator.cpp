@@ -6,6 +6,7 @@
 #include "bt/primitives.hpp"
 #include "bt/sort.hpp"
 #include "bt/transpose.hpp"
+#include "core/shard_access.hpp"
 #include "model/superstep_exec.hpp"
 #include "report/metrics.hpp"
 #include "util/bits.hpp"
@@ -17,7 +18,6 @@ namespace {
 
 using model::Addr;
 using model::ClusterTree;
-using model::ContextAccessor;
 using model::ContextLayout;
 using model::ProcId;
 using model::StepIndex;
@@ -43,87 +43,6 @@ Word msg_key1(Word prio, Word src, Word seq) {
 }
 
 constexpr std::int64_t kEmptySlot = -1;
-
-/// Context accessor for COMPUTE's base case, charging into a shard account
-/// (and the sink when Traced) with exactly bt::Machine's accounting —
-/// including the independent cost/word_access decomposition of read_range —
-/// at the *virtual* address (0: the top of memory, where the serial schedule
-/// executes the context) while the data stays in place at the *physical*
-/// base (the context's entry slot). The BT counterpart of HmmShardAccessor.
-template <bool Traced>
-class BtShardAccessor final : public ContextAccessor {
-public:
-    BtShardAccessor(bt::Machine& m, bt::ShardAccount& account, trace::Sink* sink,
-                    Addr vbase, Addr pbase, std::size_t mu)
-        : m_(m), account_(account), sink_(sink), vbase_(vbase), pbase_(pbase),
-          mu_(mu) {}
-
-    Word get(std::size_t index) const override {
-        DBSP_REQUIRE(index < mu_);
-        const Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx < m_.capacity() && pbase_ + index < m_.capacity());
-        const double delta = m_.table().cost(vx);
-        account_.cost += delta;
-        account_.word_access += delta;
-        if constexpr (Traced) sink_->access(vx, delta);
-        return m_.raw()[pbase_ + index];
-    }
-
-    void set(std::size_t index, Word value) override {
-        DBSP_REQUIRE(index < mu_);
-        const Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx < m_.capacity() && pbase_ + index < m_.capacity());
-        const double delta = m_.table().cost(vx);
-        account_.cost += delta;
-        account_.word_access += delta;
-        if constexpr (Traced) sink_->access(vx, delta);
-        m_.raw()[pbase_ + index] = value;
-    }
-
-    void get_range(std::size_t index, std::span<Word> out) const override {
-        DBSP_REQUIRE(index + out.size() <= mu_);
-        if (out.empty()) return;
-        const Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx + out.size() <= m_.capacity() &&
-                     pbase_ + index + out.size() <= m_.capacity());
-        account_.cost = m_.table().accumulate(vx, vx + out.size(), account_.cost);
-        account_.word_access =
-            m_.table().accumulate(vx, vx + out.size(), account_.word_access);
-        ++account_.range_ops;
-        account_.range_words += out.size();
-        if constexpr (Traced) sink_->access_range(m_.table().prefix(), vx, vx + out.size());
-        const auto raw = m_.raw();
-        std::copy_n(raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index), out.size(),
-                    out.begin());
-    }
-
-    void set_range(std::size_t index, std::span<const Word> values) override {
-        DBSP_REQUIRE(index + values.size() <= mu_);
-        if (values.empty()) return;
-        const Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx + values.size() <= m_.capacity() &&
-                     pbase_ + index + values.size() <= m_.capacity());
-        account_.cost = m_.table().accumulate(vx, vx + values.size(), account_.cost);
-        account_.word_access =
-            m_.table().accumulate(vx, vx + values.size(), account_.word_access);
-        ++account_.range_ops;
-        account_.range_words += values.size();
-        if constexpr (Traced) {
-            sink_->access_range(m_.table().prefix(), vx, vx + values.size());
-        }
-        const auto raw = m_.raw();
-        std::copy_n(values.begin(), values.size(),
-                    raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index));
-    }
-
-private:
-    bt::Machine& m_;
-    bt::ShardAccount& account_;
-    trace::Sink* sink_;  ///< the machine's sink; non-null iff Traced
-    Addr vbase_;         ///< charged addresses
-    Addr pbase_;         ///< data addresses
-    std::size_t mu_;
-};
 
 /// A parsed processor context (executor bookkeeping; all words it carries
 /// were charged when read from the machine).
@@ -177,7 +96,6 @@ private:
     void pack(unsigned i);
     void compute(StepIndex s, std::uint64_t n);
     void compute_walk(StepIndex s, std::uint64_t n);
-    void execute_in_place(StepIndex s, ProcId p);
     void deliver_sort(unsigned label, ProcId first, std::uint64_t csize);
     bool deliver_transpose(ProcId first, std::uint64_t csize, std::uint64_t grain);
 
@@ -292,13 +210,14 @@ void BtSim::pack(unsigned i) {
 void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
     // Precondition: n contexts packed in slots [0, n), slots [n, 2n) empty.
     if (n == 1) {
-        const std::int64_t p = proc_of_slot_[0];
-        DBSP_ASSERT(p != kEmptySlot);
+        DBSP_ASSERT(proc_of_slot_[0] != kEmptySlot);
+        const auto p = static_cast<ProcId>(proc_of_slot_[0]);
         // Hop the context over the staging pad to the true top of memory
         // (two block transfers), so the elementwise step execution pays
         // f(mu) = O(1)-ish per access instead of f(pad).
         machine_.charge_transfer(slot_addr(0), 0, mu_);
-        execute_in_place(s, static_cast<ProcId>(p));
+        run_in_place<bt::ShardAccount>(machine_, program_, layout_, tree_, s, p, 0,
+                                       slot_addr(entry_slot_[p]));
         machine_.charge_transfer(0, slot_addr(0), mu_);
         return;
     }
@@ -317,28 +236,6 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
         swap_slot_runs(0, j * c, c, /*buf=*/c);
     }
     shift_slots_left(2 * c, n - c, c);
-}
-
-void BtSim::execute_in_place(StepIndex s, ProcId p) {
-    // The context's charges fold into a fresh account, merged once into the
-    // machine; its trace events go straight to the sink inside a shard
-    // bracket, so the sink's mirror folds them the same way.
-    trace::Sink* const sink = machine_.trace();
-    const Addr pbase = slot_addr(entry_slot_[p]);
-    bt::ShardAccount account;
-    model::StepOutcome out;
-    if (sink != nullptr) {
-        sink->shard_begin();
-        BtShardAccessor<true> acc(machine_, account, sink, 0, pbase, mu_);
-        out = model::run_processor_step(program_, layout_, tree_, s, p, acc);
-        sink->charge(static_cast<double>(out.ops));
-    } else {
-        BtShardAccessor<false> acc(machine_, account, nullptr, 0, pbase, mu_);
-        out = model::run_processor_step(program_, layout_, tree_, s, p, acc);
-    }
-    account.charge(static_cast<double>(out.ops));
-    machine_.merge_shard(account);
-    if (sink != nullptr) sink->shard_end();
 }
 
 void BtSim::compute(StepIndex s, std::uint64_t n) {

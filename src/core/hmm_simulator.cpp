@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/hmm_shard.hpp"
+#include "core/shard_access.hpp"
 #include "model/superstep_exec.hpp"
 #include "report/metrics.hpp"
 #include "util/contracts.hpp"
@@ -13,7 +13,6 @@ namespace {
 
 using model::Addr;
 using model::ClusterTree;
-using model::ContextAccessor;
 using model::ContextLayout;
 using model::ProcId;
 using model::StepIndex;
@@ -100,9 +99,6 @@ HmmSimResult HmmSimulator::simulate_with(
                         : static_cast<model::AccessorSource&>(contexts_plain);
     model::DeliveryScratch scratch;
 
-    // Step 2a charges each context into this account, folded once per context.
-    hmm::ShardAccount account;
-
     HmmSimResult result;
     result.data_words = program.data_words();
 
@@ -172,23 +168,8 @@ HmmSimResult HmmSimulator::simulate_with(
             }
             {
                 trace::PhaseScope exec(sink, ph(trace::Phase::kStepExec), label);
-                const ProcId p = first + idx;
-                model::StepOutcome out;
-                if (sink != nullptr) {
-                    sink->shard_begin();
-                    HmmShardAccessor<true> acc(st.machine, account, sink, st.block_addr(0),
-                                               st.block_addr(idx), mu);
-                    out = model::run_processor_step(program, layout, tree, s, p, acc);
-                    sink->charge(static_cast<double>(out.ops));
-                } else {
-                    HmmShardAccessor<false> acc(st.machine, account, nullptr,
-                                                st.block_addr(0), st.block_addr(idx), mu);
-                    out = model::run_processor_step(program, layout, tree, s, p, acc);
-                }
-                account.cost += static_cast<double>(out.ops);  // unit op costs
-                st.machine.merge_shard(account);
-                account.clear();
-                if (sink != nullptr) sink->shard_end();
+                run_in_place<hmm::ShardAccount>(st.machine, program, layout, tree, s, first + idx,
+                                                st.block_addr(0), st.block_addr(idx));
             }
             if (idx > 0) {
                 trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), label);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "bt/primitives.hpp"
+#include "core/shard_access.hpp"
 #include "model/superstep_exec.hpp"
 #include "util/contracts.hpp"
 
@@ -11,36 +12,9 @@ namespace dbsp::core {
 namespace {
 
 using model::Addr;
-using model::ContextAccessor;
 using model::Message;
 using model::ProcId;
 using model::Word;
-
-class BtPinnedAccessor final : public ContextAccessor {
-public:
-    BtPinnedAccessor(bt::Machine& m, Addr base, std::size_t mu) : m_(m), base_(base), mu_(mu) {}
-    Word get(std::size_t i) const override {
-        DBSP_REQUIRE(i < mu_);
-        return m_.read(base_ + i);
-    }
-    void set(std::size_t i, Word value) override {
-        DBSP_REQUIRE(i < mu_);
-        m_.write(base_ + i, value);
-    }
-    void get_range(std::size_t i, std::span<Word> out) const override {
-        DBSP_REQUIRE(i + out.size() <= mu_);
-        m_.read_range(base_ + i, out);
-    }
-    void set_range(std::size_t i, std::span<const Word> values) override {
-        DBSP_REQUIRE(i + values.size() <= mu_);
-        m_.write_range(base_ + i, values);
-    }
-
-private:
-    bt::Machine& m_;
-    Addr base_;
-    std::size_t mu_;
-};
 
 }  // namespace
 
@@ -85,7 +59,7 @@ BtSimResult NaiveBtSimulator::simulate(model::Program& program) const {
         // context, paying the access function at its resident depth.
         for (ProcId p = 0; p < v; ++p) {
             const Addr base = ctx0 + p * mu;
-            BtPinnedAccessor acc(machine, base, mu);
+            MachineAccessor<bt::Machine> acc(machine, base, mu);
             const auto out = model::run_processor_step(program, layout, tree, s, p, acc);
             machine.charge(static_cast<double>(out.ops));
             const auto cnt =

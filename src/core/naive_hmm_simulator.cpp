@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/hmm_shard.hpp"
+#include "core/shard_access.hpp"
 #include "model/superstep_exec.hpp"
 #include "util/contracts.hpp"
 

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/hmm_simulator.hpp"
+#include "core/shard_access.hpp"
 #include "core/smoothing.hpp"
 #include "hmm/machine.hpp"
 #include "model/superstep_exec.hpp"
@@ -17,7 +18,6 @@ namespace {
 
 using model::Addr;
 using model::ClusterTree;
-using model::ContextAccessor;
 using model::ContextLayout;
 using model::Message;
 using model::ProcId;
@@ -177,31 +177,7 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
             for (std::uint64_t k = 0; k < w; ++k) {
                 // Cycle each guest context through the top of the local HMM.
                 if (k > 0) mem.swap_blocks(0, k * mu, mu);
-                hmm::Machine& m = mem;
-                class TopAccessor final : public ContextAccessor {
-                public:
-                    TopAccessor(hmm::Machine& m, std::size_t mu) : m_(m), mu_(mu) {}
-                    Word get(std::size_t i) const override {
-                        DBSP_REQUIRE(i < mu_);
-                        return m_.read(i);
-                    }
-                    void set(std::size_t i, Word value) override {
-                        DBSP_REQUIRE(i < mu_);
-                        m_.write(i, value);
-                    }
-                    void get_range(std::size_t i, std::span<Word> out) const override {
-                        DBSP_REQUIRE(i + out.size() <= mu_);
-                        m_.read_range(i, out);
-                    }
-                    void set_range(std::size_t i, std::span<const Word> values) override {
-                        DBSP_REQUIRE(i + values.size() <= mu_);
-                        m_.write_range(i, values);
-                    }
-
-                private:
-                    hmm::Machine& m_;
-                    std::size_t mu_;
-                } acc(m, mu);
+                MachineAccessor<hmm::Machine> acc(mem, 0, mu);
                 const auto out =
                     model::run_processor_step(program, layout, tree, s, j * w + k, acc);
                 mem.charge(static_cast<double>(out.ops));

@@ -45,35 +45,13 @@ void Machine::publish_metrics() {
 
 Machine::~Machine() { publish_metrics(); }
 
-Word Machine::read(Addr x) {
-    DBSP_REQUIRE(x < capacity());
-    cost_ += table_->cost(x);
-    ++words_touched_;
+Word Machine::traced_read_tail(Addr x) {
+    trace_->access(x, table_->cost(x));
     return memory_[x];
 }
 
-void Machine::write(Addr x, Word value) {
-    DBSP_REQUIRE(x < capacity());
-    cost_ += table_->cost(x);
-    ++words_touched_;
-    memory_[x] = value;
-}
-
-Word Machine::read_traced(Addr x) {
-    DBSP_REQUIRE(x < capacity());
-    const double delta = table_->cost(x);
-    cost_ += delta;
-    ++words_touched_;
-    if (trace_ != nullptr) trace_->access(x, delta);
-    return memory_[x];
-}
-
-void Machine::write_traced(Addr x, Word value) {
-    DBSP_REQUIRE(x < capacity());
-    const double delta = table_->cost(x);
-    cost_ += delta;
-    ++words_touched_;
-    if (trace_ != nullptr) trace_->access(x, delta);
+void Machine::traced_write_tail(Addr x, Word value) {
+    trace_->access(x, table_->cost(x));
     memory_[x] = value;
 }
 

@@ -66,11 +66,21 @@ struct ShardAccount {
         cost += c;
     }
 
-    /// Mirror of Machine::note_bulk into the shard.
-    void note_bulk(Addr deepest, std::uint64_t words) {
+    /// Mirror of Machine::read/write's accounting of one word costing
+    /// \p delta.
+    void word(double delta) {
+        cost += delta;
+        ++words_touched;
+    }
+
+    /// Mirror of Machine::read_range/write_range's accounting of [begin, end),
+    /// end > begin.
+    void range(const model::CostTable& table, Addr begin, Addr end) {
+        cost = table.accumulate(begin, end, cost);
+        words_touched += end - begin;
         ++bulk_ops;
-        bulk_words += words;
-        bulk_words_by_level[std::bit_width(deepest)] += words;
+        bulk_words += end - begin;
+        bulk_words_by_level[std::bit_width(end - 1)] += end - begin;
     }
 };
 
@@ -80,17 +90,29 @@ public:
     Machine(AccessFunction f, std::uint64_t capacity);
 
     /// --- charged word accesses ---------------------------------------------
-    /// read()/write() deliberately carry NO trace hook: they are the
-    /// innermost few-cycle operations of every simulation loop, and even a
-    /// never-taken branch on the sink pointer measurably slows the untraced
-    /// harness (bench_micro). Per-word trace events are emitted by
-    /// read_traced()/write_traced(), which charge identically (same delta,
-    /// same fold order — the sink mirror stays bit-for-bit); the simulators
-    /// route word traffic through them only when a sink is attached.
-    Word read(Addr x);
-    void write(Addr x, Word value);
-    Word read_traced(Addr x);
-    void write_traced(Addr x, Word value);
+    /// Inline: they are the innermost operations of every native algorithm.
+    /// The per-word trace hook is one [[unlikely]] branch on the sink pointer
+    /// to an out-of-line cold tail, so the null-sink path stays a leaf; the
+    /// traced path charges identically (same delta, same fold order) and then
+    /// emits the access event, keeping the sink mirror bit-for-bit.
+    Word read(Addr x) {
+        DBSP_REQUIRE(x < capacity());
+        cost_ += table_->cost(x);
+        ++words_touched_;
+        if (trace_ != nullptr) [[unlikely]] return traced_read_tail(x);
+        return memory_[x];
+    }
+
+    void write(Addr x, Word value) {
+        DBSP_REQUIRE(x < capacity());
+        cost_ += table_->cost(x);
+        ++words_touched_;
+        if (trace_ != nullptr) [[unlikely]] {
+            traced_write_tail(x, value);
+            return;
+        }
+        memory_[x] = value;
+    }
 
     /// --- charged bulk accesses ---------------------------------------------
     /// Read [x, x + out.size()) into \p out; cost-equivalent (bit for bit) to
@@ -139,10 +161,8 @@ public:
     }
 
     /// Attach (or detach, with nullptr) a charge-trace sink. The machine does
-    /// not own the sink. Bulk operations guard their (per-op, amortized) trace
-    /// hook with one branch on this pointer; per-word events come only from
-    /// read_traced()/write_traced(), so a detached machine pays no tracing
-    /// overhead at all.
+    /// not own the sink; every charge site is guarded by one branch on this
+    /// pointer.
     void set_trace(trace::Sink* sink) { trace_ = sink; }
     trace::Sink* trace() const { return trace_; }
 
@@ -173,6 +193,12 @@ public:
     ~Machine();
 
 private:
+    /// Out-of-line cold tails of the per-word trace hook: the traced path
+    /// finishes the operation in a tail call so the null-sink read()/write()
+    /// stay leaf functions.
+    [[gnu::cold]] [[gnu::noinline]] Word traced_read_tail(Addr x);
+    [[gnu::cold]] [[gnu::noinline]] void traced_write_tail(Addr x, Word value);
+
     /// Telemetry accumulator for one bulk operation touching \p words words
     /// whose deepest (highest) address is \p deepest — the level that
     /// dominates the op's HMM cost. Three plain adds, no atomics.

@@ -29,10 +29,10 @@
 /// batched=false reference path (a fuzz-oracle invariant). kSampled mode adds
 /// SHARDS spatial sampling on top (see reuse_distance.hpp).
 ///
-/// Null-sink discipline (PR 2) is unchanged: a machine with no sink attached
-/// executes zero locality-profiling instructions; the per-word events this
-/// sink consumes exist only on the read_traced/write_traced path the
-/// simulators select once per run.
+/// Null-sink discipline: a machine with no sink attached executes zero
+/// locality-profiling instructions. The per-word events this sink consumes
+/// come from the machines' read()/write() cold trace tails and from the
+/// traced core::ShardAccessor the simulators select once per context.
 
 #include <cstdint>
 

@@ -66,17 +66,13 @@ public:
     virtual void set(std::size_t index, Word value) = 0;
 
     /// Bulk read of the contiguous index range [index, index + out.size())
-    /// into \p out. The default walks get() word by word; charged accessors
-    /// override it to pay one virtual call and a fused per-cell charge loop
-    /// for the whole range (bit-identical cost, memcpy-able data movement).
-    virtual void get_range(std::size_t index, std::span<Word> out) const {
-        for (std::size_t i = 0; i < out.size(); ++i) out[i] = get(index + i);
-    }
+    /// into \p out: one virtual call and, on charged accessors, a fused
+    /// per-cell charge loop for the whole range (cost bit-identical to a
+    /// get() loop, memcpy-able data movement).
+    virtual void get_range(std::size_t index, std::span<Word> out) const = 0;
 
     /// Bulk write of \p values onto [index, index + values.size()).
-    virtual void set_range(std::size_t index, std::span<const Word> values) {
-        for (std::size_t i = 0; i < values.size(); ++i) set(index + i, values[i]);
-    }
+    virtual void set_range(std::size_t index, std::span<const Word> values) = 0;
 };
 
 /// Plain in-memory accessor over a caller-owned span of mu words.

@@ -10,10 +10,10 @@
 /// Concurrency: one accepting thread (serve_forever) plus one thread per
 /// connection. Connections pipeline: a client may write many request lines
 /// before reading, and replies come back strictly in request order.
-/// Simulations from concurrent connections share the process-wide
-/// parallel_for worker pool (top-level jobs are serialized by the pool, so
-/// concurrent run requests queue rather than oversubscribe) and share the
-/// ResultCache and CostTableCache.
+/// Each run request executes serially on its connection's thread (the
+/// executors have no intra-run parallelism), so concurrent connections run
+/// their simulations concurrently; they share the ResultCache and the
+/// CostTableCache.
 ///
 /// Failure containment: every malformed request — unparsable JSON,
 /// overdeep/oversized documents, bad specs, degenerate sampling rates —

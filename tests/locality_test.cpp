@@ -345,10 +345,10 @@ void drive_machine(hmm::Machine& machine) {
     for (int i = 0; i < 500; ++i) {
         switch (rng.next_below(7)) {
             case 0:
-                machine.write_traced(rng.next_below(2048), rng.next());
+                machine.write(rng.next_below(2048), rng.next());
                 break;
             case 1:
-                (void)machine.read_traced(rng.next_below(2048));
+                (void)machine.read(rng.next_below(2048));
                 break;
             case 2:
                 machine.write_range(rng.next_below(2048 - 64), buf);
@@ -432,13 +432,11 @@ TEST(LocalitySink, CountsAndCostsMatchTheMachine) {
     LocalitySink sink;
     machine.set_trace(&sink);
 
-    // A mix of every charged operation kind. Untraced read()/write() are not
-    // used here: with a sink attached the simulators route all word traffic
-    // through the traced variants, and that is the contract being tested.
+    // A mix of every charged operation kind.
     std::uint64_t expected_refs = 0;
-    machine.write_traced(5, 7);
-    machine.write_traced(900, 1);
-    ASSERT_EQ(machine.read_traced(5), 7u);
+    machine.write(5, 7);
+    machine.write(900, 1);
+    ASSERT_EQ(machine.read(5), 7u);
     expected_refs += 3;
 
     std::vector<model::Word> buf(64, 3);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <complex>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algos/bitonic_sort.hpp"
@@ -12,7 +15,11 @@
 #include "core/hmm_simulator.hpp"
 #include "core/self_simulator.hpp"
 #include "core/smoothing.hpp"
+#include "hmm/fft.hpp"
 #include "hmm/machine.hpp"
+#include "hmm/matmul.hpp"
+#include "hmm/primitives.hpp"
+#include "locality/sink.hpp"
 #include "model/dbsp_machine.hpp"
 #include "trace/aggregate.hpp"
 #include "trace/chrome_trace.hpp"
@@ -26,6 +33,8 @@ namespace {
 
 using model::AccessFunction;
 using model::Word;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// The paper's case-study access functions (same set as bench/common.hpp).
 std::vector<AccessFunction> case_study_functions() {
@@ -68,21 +77,12 @@ TEST(TraceSink, HmmMachineMirrorsChargedCostExactly) {
         trace::AggregateSink sink;
         traced.set_trace(&sink);
 
-        // Per-word accesses go through read_traced/write_traced on the traced
-        // machine and the hook-free read/write on the untraced one — the
-        // charged streams must be identical (the simulators select the path
-        // the same way).
-        const auto workload = [](hmm::Machine& m, bool use_traced) {
+        const auto workload = [](hmm::Machine& m) {
             SplitMix64 rng(99);
             for (int i = 0; i < 200; ++i) {
                 const model::Addr x = rng.next_below(4096);
-                if (use_traced) {
-                    m.write_traced(x, rng.next());
-                    (void)m.read_traced(x / 2 + 1);
-                } else {
-                    m.write(x, rng.next());
-                    (void)m.read(x / 2 + 1);
-                }
+                m.write(x, rng.next());
+                (void)m.read(x / 2 + 1);
             }
             std::vector<Word> buf(64);
             m.read_range(100, buf);
@@ -92,8 +92,8 @@ TEST(TraceSink, HmmMachineMirrorsChargedCostExactly) {
             m.charge_range(10, 300);
             m.charge(7.0);
         };
-        workload(traced, true);
-        workload(untraced, false);
+        workload(traced);
+        workload(untraced);
 
         // Tracing never perturbs the charge stream...
         EXPECT_EQ(traced.cost(), untraced.cost()) << f.name();
@@ -103,9 +103,56 @@ TEST(TraceSink, HmmMachineMirrorsChargedCostExactly) {
         // reset_cost clears the mirror too, and the equality holds again.
         traced.reset_cost();
         EXPECT_EQ(sink.total(), 0.0);
-        (void)traced.read_traced(321);
+        (void)traced.read(321);
         traced.swap_blocks(8, 256, 32);
         EXPECT_EQ(sink.total(), traced.cost()) << f.name();
+    }
+}
+
+// The native HMM algorithms charge through Machine::read/write as well as
+// the bulk operations; with a sink attached every per-word charge must reach
+// it, so the mirror stays exact and the locality engine sees every reference.
+TEST(TraceSink, NativeHmmAlgorithmsMirrorChargedCostExactly) {
+    struct Case {
+        const char* name;
+        std::uint64_t capacity;
+        void (*run)(hmm::Machine&);
+    };
+    const Case cases[] = {
+        {"touch_all", 4096, [](hmm::Machine& m) { (void)hmm::touch_all(m, 4096); }},
+        {"oblivious_merge_sort", 2 * 4096,
+         [](hmm::Machine& m) { hmm::oblivious_merge_sort(m, 4096); }},
+        {"blocked_matmul", 4 * 256 + 64,
+         [](hmm::Machine& m) { hmm::blocked_matmul(m, 256, 512, 768, 16); }},
+        {"fft_natural", 6 * 256 + 64,
+         [](hmm::Machine& m) { hmm::fft_natural(m, 2 * 256 + 32, 256); }},
+    };
+    for (const auto& f : case_study_functions()) {
+        for (const Case& c : cases) {
+            SCOPED_TRACE(std::string(c.name) + " f=" + f.name());
+            hmm::Machine traced(f, c.capacity);
+            hmm::Machine untraced(f, c.capacity);
+            SplitMix64 rng(17);
+            for (std::uint64_t i = 0; i < c.capacity; ++i) {
+                const Word w = rng.next_below(1 << 16);
+                traced.raw()[i] = w;
+                untraced.raw()[i] = w;
+            }
+            trace::AggregateSink aggregate;
+            locality::LocalitySink locality;
+            trace::MultiSink multi{&aggregate, &locality};
+            traced.set_trace(&multi);
+            c.run(traced);
+            c.run(untraced);
+
+            EXPECT_EQ(bits(traced.cost()), bits(untraced.cost()));
+            EXPECT_EQ(bits(aggregate.total()), bits(traced.cost()));
+            EXPECT_EQ(bits(multi.total()), bits(traced.cost()));
+            EXPECT_EQ(traced.words_touched(), untraced.words_touched());
+            EXPECT_EQ(locality.recorded_accesses(), traced.words_touched());
+            EXPECT_TRUE(std::equal(traced.raw().begin(), traced.raw().end(),
+                                   untraced.raw().begin()));
+        }
     }
 }
 

@@ -146,7 +146,16 @@ int main(int argc, char** argv) {
         } else if (arg == "--value-drift") {
             gate.value_drift_rel = parse_double("--value-drift", next());
         } else if (arg == "--perf-drop") {
-            gate.perf_drop_pct = parse_double("--perf-drop", next());
+            const char* value = next();
+            gate.perf_drop_pct = parse_double("--perf-drop", value);
+            // A fraction such as 0.5 almost surely meant 50 %, not 0.5 %.
+            if (gate.perf_drop_pct > 0.0 && gate.perf_drop_pct < 1.0) {
+                std::fprintf(stderr,
+                             "dbsp_report: invalid --perf-drop \"%s\" (the flag takes a "
+                             "percent, e.g. 35 for 35%%; values in (0, 1) are rejected)\n",
+                             value);
+                return 2;
+            }
         } else if (arg == "--locality-overhead-max") {
             gate.locality_enabled_overhead_max_pct =
                 parse_double("--locality-overhead-max", next());
