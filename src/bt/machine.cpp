@@ -55,44 +55,32 @@ void Machine::traced_copy_words(Addr src, Addr dst, std::uint64_t n) {
     for (std::uint64_t t = 0; t < n; ++t) write(dst + t, read(src + t));
 }
 
-void Machine::read_range(Addr x, std::span<Word> out) {
-    if (out.empty()) return;
-    DBSP_REQUIRE(x + out.size() <= capacity());
+void Machine::charge_words(Addr x, std::uint64_t n) {
+    DBSP_REQUIRE(x + n <= capacity());
     // The two accumulators are independent in the per-word loop, so folding
     // each one separately reproduces its value bit for bit.
-    cost_ = table_->accumulate(x, x + out.size(), cost_);
-    word_access_ = table_->accumulate(x, x + out.size(), word_access_);
+    cost_ = table_->accumulate(x, x + n, cost_);
+    word_access_ = table_->accumulate(x, x + n, word_access_);
     ++range_ops_;
-    range_words_ += out.size();
-    if (trace_ != nullptr) trace_->access_range(table_->prefix(), x, x + out.size());
+    range_words_ += n;
+    if (trace_ != nullptr) trace_->access_range(table_->prefix(), x, x + n);
+}
+
+void Machine::read_range(Addr x, std::span<Word> out) {
+    if (out.empty()) return;
+    charge_words(x, out.size());
     std::copy_n(memory_.begin() + static_cast<std::ptrdiff_t>(x), out.size(), out.begin());
 }
 
 void Machine::write_range(Addr x, std::span<const Word> values) {
     if (values.empty()) return;
-    DBSP_REQUIRE(x + values.size() <= capacity());
-    cost_ = table_->accumulate(x, x + values.size(), cost_);
-    word_access_ = table_->accumulate(x, x + values.size(), word_access_);
-    ++range_ops_;
-    range_words_ += values.size();
-    if (trace_ != nullptr) trace_->access_range(table_->prefix(), x, x + values.size());
+    charge_words(x, values.size());
     std::copy_n(values.begin(), values.size(),
                 memory_.begin() + static_cast<std::ptrdiff_t>(x));
 }
 
 void Machine::block_copy(Addr src, Addr dst, std::uint64_t len) {
-    if (len == 0) return;
-    DBSP_REQUIRE(src + len <= capacity() && dst + len <= capacity());
-    DBSP_REQUIRE(src + len <= dst || dst + len <= src);  // disjoint, per the model
-    const double latency = std::max(table_->cost(src + len - 1), table_->cost(dst + len - 1));
-    const double delta = latency + static_cast<double>(len);
-    cost_ += delta;
-    transfer_latency_ += latency;
-    transfer_volume_ += static_cast<double>(len);
-    ++block_transfers_;
-    transfer_words_ += len;
-    transfer_size_by_bucket_[std::bit_width(len)] += 1;
-    if (trace_ != nullptr) trace_->block_transfer(src, dst, len, latency, delta);
+    charge_transfer(src, dst, len);
     std::copy(memory_.begin() + static_cast<std::ptrdiff_t>(src),
               memory_.begin() + static_cast<std::ptrdiff_t>(src + len),
               memory_.begin() + static_cast<std::ptrdiff_t>(dst));
@@ -106,8 +94,6 @@ void Machine::charge(double c) {
 }
 
 void Machine::charge_transfer(Addr src, Addr dst, std::uint64_t len) {
-    // block_copy minus the std::copy: same delta, same decomposition, same
-    // telemetry, same trace event.
     if (len == 0) return;
     DBSP_REQUIRE(src + len <= capacity() && dst + len <= capacity());
     DBSP_REQUIRE(src + len <= dst || dst + len <= src);  // disjoint, per the model

@@ -153,11 +153,11 @@ public:
     /// Charge \p c units of pure computation.
     void charge(double c);
 
-    /// Charge exactly what block_copy(src, dst, len) would charge — cost
-    /// decomposition, transfer telemetry, and the trace event — WITHOUT
-    /// copying any data. The BT simulator's COMPUTE walk charges its movement
-    /// schedule, a net identity on memory, through this while the contexts
-    /// execute in place.
+    /// The charges of block_copy(src, dst, len) — cost decomposition,
+    /// transfer telemetry, and the trace event — without copying any data
+    /// (block_copy is this plus the copy). The BT simulator's COMPUTE walk
+    /// charges its movement schedule, a net identity on memory, through this
+    /// while the contexts execute in place.
     void charge_transfer(Addr src, Addr dst, std::uint64_t len);
 
     /// Fold one shard's accumulators into the machine; the cost fold is the
@@ -204,6 +204,10 @@ private:
     [[gnu::cold]] [[gnu::noinline]] void traced_write_tail(Addr x, Word value);
     [[gnu::cold]] [[gnu::noinline]] void traced_copy_words(Addr src, Addr dst,
                                                            std::uint64_t n);
+
+    /// The charges of read_range/write_range over the \p n >= 1 words from
+    /// \p x.
+    void charge_words(Addr x, std::uint64_t n);
 
     std::shared_ptr<const model::CostTable> table_;
     std::vector<Word> memory_;

@@ -65,7 +65,7 @@ public:
           total_slots_(2 * v_ + gap_slots(v_) + 2),
           machine_(f, pad_ + total_slots_ * mu_ + 64),
           proc_of_slot_(total_slots_, kEmptySlot), slot_of_proc_(v_), sigma_(v_, 0) {
-        machine_.set_trace(options_.trace);
+        machine_.set_trace(trace::charge_sink(options_.trace));
     }
 
     BtSimResult run();

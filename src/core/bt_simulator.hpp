@@ -71,7 +71,9 @@ public:
         /// are attributed to step execution (COMPUTE), context movement
         /// (PACK/UNPACK/Step-4 swaps), sort-based or transpose-based delivery
         /// — or dummy-superstep for smoothing-inserted rounds. The sink's
-        /// total() equals BtSimResult::bt_cost bit for bit.
+        /// total() equals BtSimResult::bt_cost bit for bit. A sink whose
+        /// wants_charges() is false sees the phase scopes only, and the
+        /// machine stays untraced.
         trace::Sink* trace = nullptr;
     };
 

@@ -73,7 +73,7 @@ HmmSimResult HmmSimulator::simulate_with(
 
     SimState st(f_, v, mu);
     trace::Sink* const sink = options_.trace;
-    st.machine.set_trace(sink);
+    st.machine.set_trace(trace::charge_sink(sink));
     // The machine is fresh (cost 0); a reused sink must restart its mirror.
     if (sink != nullptr) sink->reset_total();
 
@@ -95,8 +95,9 @@ HmmSimResult HmmSimulator::simulate_with(
     HmmShardSource<false> contexts_plain(st.machine, mu, &st.block_of_proc);
     HmmShardSource<true> contexts_traced(st.machine, mu, &st.block_of_proc);
     model::AccessorSource& contexts =
-        sink != nullptr ? static_cast<model::AccessorSource&>(contexts_traced)
-                        : static_cast<model::AccessorSource&>(contexts_plain);
+        st.machine.trace() != nullptr
+            ? static_cast<model::AccessorSource&>(contexts_traced)
+            : static_cast<model::AccessorSource&>(contexts_plain);
     model::DeliveryScratch scratch;
 
     HmmSimResult result;

@@ -53,7 +53,9 @@ public:
         /// charge is attributed to a phase: step execution, context movement
         /// (block swaps/rotations), message delivery — or dummy-superstep for
         /// rounds executing a smoothing-inserted dummy. The sink's total()
-        /// equals HmmSimResult::hmm_cost bit for bit.
+        /// equals HmmSimResult::hmm_cost bit for bit. A sink whose
+        /// wants_charges() is false sees the phase scopes only, and the run
+        /// stays on the untraced accessors.
         trace::Sink* trace = nullptr;
     };
 

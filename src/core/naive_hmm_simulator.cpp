@@ -24,7 +24,7 @@ HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
 
     hmm::Machine machine(f_, static_cast<std::uint64_t>(mu) * v);
     trace::Sink* const sink = options_.trace;
-    machine.set_trace(sink);
+    machine.set_trace(trace::charge_sink(sink));
     // The machine is fresh (cost 0); a reused sink must restart its mirror.
     if (sink != nullptr) sink->reset_total();
     {
@@ -57,7 +57,7 @@ HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
             model::deliver_messages(layout, 0, v, contexts, program.proc_id_base(), &scratch);
         }
     };
-    if (sink != nullptr) {
+    if (machine.trace() != nullptr) {
         HmmShardSource<true> contexts(machine, mu, nullptr);
         run(contexts);
     } else {

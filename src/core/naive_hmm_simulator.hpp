@@ -20,8 +20,8 @@ public:
         /// contract as HmmSimulator::Options::trace: the sink's total()
         /// equals HmmSimResult::hmm_cost bit for bit, and per-word events
         /// exist only on the traced accessor instantiation, so a run with no
-        /// sink pays nothing. Used by bench_e14 to profile the flat
-        /// baseline's address stream.
+        /// sink (or one whose wants_charges() is false) pays nothing. Used by
+        /// bench_e14 to profile the flat baseline's address stream.
         trace::Sink* trace = nullptr;
     };
 

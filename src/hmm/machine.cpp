@@ -55,39 +55,29 @@ void Machine::traced_write_tail(Addr x, Word value) {
     memory_[x] = value;
 }
 
+void Machine::charge_words(Addr x, std::uint64_t n) {
+    DBSP_REQUIRE(x + n <= capacity());
+    cost_ = table_->accumulate(x, x + n, cost_);
+    words_touched_ += n;
+    if (trace_ != nullptr) trace_->access_range(table_->prefix(), x, x + n);
+    note_bulk(x + n - 1, n);
+}
+
 void Machine::read_range(Addr x, std::span<Word> out) {
     if (out.empty()) return;
-    DBSP_REQUIRE(x + out.size() <= capacity());
-    cost_ = table_->accumulate(x, x + out.size(), cost_);
-    words_touched_ += out.size();
-    if (trace_ != nullptr) trace_->access_range(table_->prefix(), x, x + out.size());
-    note_bulk(x + out.size() - 1, out.size());
+    charge_words(x, out.size());
     std::copy_n(memory_.begin() + static_cast<std::ptrdiff_t>(x), out.size(), out.begin());
 }
 
 void Machine::write_range(Addr x, std::span<const Word> values) {
     if (values.empty()) return;
-    DBSP_REQUIRE(x + values.size() <= capacity());
-    cost_ = table_->accumulate(x, x + values.size(), cost_);
-    words_touched_ += values.size();
-    if (trace_ != nullptr) trace_->access_range(table_->prefix(), x, x + values.size());
-    note_bulk(x + values.size() - 1, values.size());
+    charge_words(x, values.size());
     std::copy_n(values.begin(), values.size(),
                 memory_.begin() + static_cast<std::ptrdiff_t>(x));
 }
 
 void Machine::swap_blocks(Addr a, Addr b, std::uint64_t len) {
-    if (len == 0) return;
-    DBSP_REQUIRE(a + len <= capacity() && b + len <= capacity());
-    DBSP_REQUIRE(a + len <= b || b + len <= a);  // disjoint
-    const double delta =
-        2.0 * (table_->range_cost(a, a + len) + table_->range_cost(b, b + len));
-    cost_ += delta;
-    words_touched_ += 4 * len;
-    if (trace_ != nullptr) {
-        trace_->block_op(table_->prefix(), delta, 2, {{a, a + len}, {b, b + len}});
-    }
-    note_bulk(std::max(a, b) + len - 1, 4 * len);
+    charge_swap_blocks(a, b, len);
     std::swap_ranges(memory_.begin() + static_cast<std::ptrdiff_t>(a),
                      memory_.begin() + static_cast<std::ptrdiff_t>(a + len),
                      memory_.begin() + static_cast<std::ptrdiff_t>(b));
@@ -126,8 +116,6 @@ void Machine::charge(double c) {
 }
 
 void Machine::charge_swap_blocks(Addr a, Addr b, std::uint64_t len) {
-    // swap_blocks minus the std::swap_ranges: same delta expression, same
-    // fold, same telemetry, same trace event.
     if (len == 0) return;
     DBSP_REQUIRE(a + len <= capacity() && b + len <= capacity());
     DBSP_REQUIRE(a + len <= b || b + len <= a);  // disjoint

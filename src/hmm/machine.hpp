@@ -140,11 +140,11 @@ public:
     /// Charge \p c units of pure computation (unit-cost operations).
     void charge(double c);
 
-    /// Charge exactly what swap_blocks(a, b, len) would charge — cost, word
-    /// touches, bulk telemetry, and the trace block_op event — WITHOUT
-    /// moving any data. Used by the HMM simulator: a pair of swap-in/swap-out
-    /// moves nets to the identity on memory, so a round executes contexts in
-    /// place and charges the paper's movement cost here.
+    /// The charges of swap_blocks(a, b, len) — cost, word touches, bulk
+    /// telemetry, and the trace block_op event — without moving any data
+    /// (swap_blocks is this plus the swap). Used by the HMM simulator: a pair
+    /// of swap-in/swap-out moves nets to the identity on memory, so a round
+    /// executes contexts in place and charges the paper's movement cost here.
     void charge_swap_blocks(Addr a, Addr b, std::uint64_t len);
 
     /// Fold one shard's accumulators into the machine: the cost fold is the
@@ -198,6 +198,10 @@ private:
     /// stay leaf functions.
     [[gnu::cold]] [[gnu::noinline]] Word traced_read_tail(Addr x);
     [[gnu::cold]] [[gnu::noinline]] void traced_write_tail(Addr x, Word value);
+
+    /// The charges of read_range/write_range over the \p n >= 1 words from
+    /// \p x.
+    void charge_words(Addr x, std::uint64_t n);
 
     /// Telemetry accumulator for one bulk operation touching \p words words
     /// whose deepest (highest) address is \p deepest — the level that

@@ -63,13 +63,13 @@ std::optional<model::AccessFunction> parse_function(const std::string& text,
     if (text.rfind("x^", 0) == 0 && text.size() > 2) {
         char* end = nullptr;
         const double alpha = std::strtod(text.c_str() + 2, &end);
-        if (end != nullptr && *end == '\0' && std::isfinite(alpha) && alpha >= 0.0) {
+        // The range AccessFunction::polynomial requires; NaN fails both.
+        if (*end == '\0' && alpha > 0.0 && alpha < 1.0) {
             return model::AccessFunction::polynomial(alpha);
         }
     }
     if (error != nullptr) {
-        *error = "invalid access function \"" + text +
-                 "\" (expected x^A with A a nonnegative number, or log)";
+        *error = "invalid access function \"" + text + "\" (expected " + kFunctionSyntax + ")";
     }
     return std::nullopt;
 }
@@ -90,9 +90,10 @@ std::string fingerprint(const check::ProgramSpec& spec, const RunOptions& option
 
 std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& options,
                         RunObservation* obs) {
-    // Telemetry scaffolding: sinks see phase scopes and superstep events
-    // only; every charged cost and serialized byte below is computed exactly
-    // as in the unobserved run.
+    // Telemetry scaffolding: span sinks see phase scopes and superstep
+    // events only and want no charges, so they leave the simulators on
+    // their untraced paths; every charged cost and serialized byte below is
+    // computed exactly as in the unobserved run.
     if (obs != nullptr && obs->t0_ns == 0) obs->t0_ns = telemetry::steady_now_ns();
     auto finish_leg = [&](const char* name, telemetry::SpanSink& sink,
                           std::uint64_t begin_ns) {
@@ -143,16 +144,10 @@ std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& option
         const std::uint64_t begin_ns = telemetry::steady_now_ns();
         auto smoothed = core::smooth(prog, core::hmm_label_set(options.f, mu, v));
         locality::LocalitySink loc(locality_options);
-        trace::MultiSink multi{&loc, &span_sink};
+        trace::MultiSink sinks{&span_sink};
+        if (options.locality) sinks.add(&loc);
         core::HmmSimulator::Options sim;
-        const bool spans = obs != nullptr && obs->span != nullptr;
-        if (options.locality && spans) {
-            sim.trace = &multi;
-        } else if (options.locality) {
-            sim.trace = &loc;
-        } else if (spans) {
-            sim.trace = &span_sink;
-        }
+        sim.trace = &sinks;
         const core::HmmSimResult res =
             core::HmmSimulator(options.f, sim).simulate(*smoothed);
         finish_leg("hmm", span_sink, begin_ns);
@@ -177,16 +172,10 @@ std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& option
         const std::uint64_t begin_ns = telemetry::steady_now_ns();
         auto smoothed = core::smooth(prog, core::bt_label_set(options.f, mu, v));
         locality::LocalitySink loc(locality_options);
-        trace::MultiSink multi{&loc, &span_sink};
+        trace::MultiSink sinks{&span_sink};
+        if (options.locality) sinks.add(&loc);
         core::BtSimulator::Options sim;
-        const bool spans = obs != nullptr && obs->span != nullptr;
-        if (options.locality && spans) {
-            sim.trace = &multi;
-        } else if (options.locality) {
-            sim.trace = &loc;
-        } else if (spans) {
-            sim.trace = &span_sink;
-        }
+        sim.trace = &sinks;
         const core::BtSimResult res =
             core::BtSimulator(options.f, sim).simulate(*smoothed);
         finish_leg("bt", span_sink, begin_ns);

@@ -53,9 +53,13 @@ struct RunOptions {
 /// all invalid — degenerate rates are rejected, never clamped.
 bool valid_sample_rate(double rate);
 
+/// The access-function syntax parse_function accepts, for diagnostics.
+inline constexpr const char* kFunctionSyntax = "x^A with 0 < A < 1, or log";
+
 /// Strict non-exiting access-function parse: "log" or "x^A" with A a full
-/// nonnegative floating-point literal, no trailing garbage. Returns nullopt
-/// (and a message) on violation.
+/// floating-point literal in (0, 1) — the range AccessFunction::polynomial
+/// accepts — and no trailing garbage. Returns nullopt (and a message naming
+/// the range) on violation.
 std::optional<model::AccessFunction> parse_function(const std::string& text,
                                                     std::string* error);
 
@@ -65,13 +69,12 @@ std::optional<model::AccessFunction> parse_function(const std::string& text,
 std::string fingerprint(const check::ProgramSpec& spec, const RunOptions& options);
 
 /// Wall-clock observation of one run, collected alongside (never inside)
-/// the deterministic result document. When \p span is non-null the executor
-/// legs attach a telemetry::SpanSink through the existing trace phase-scope
-/// hooks and append one leg span each ("dbsp" / "hmm" / "bt", with
-/// superstep-granularity children). Attaching that sink puts each leg on the
-/// traced per-word accessors, so an observed run pays a virtual no-op per
-/// charged word (see telemetry::SpanSink and the ROADMAP item "Per-layer
-/// wall-clock profile"). The slack fields mirror the cost and
+/// the deterministic result document. When \p span is non-null each
+/// executor leg appends one leg span ("dbsp" / "hmm" / "bt", with
+/// superstep-granularity children), timed by a telemetry::SpanSink on the
+/// trace phase-scope hooks. That sink wants no charge events, so the legs
+/// stay on their untraced per-word paths and pay a few clock reads per
+/// phase. The slack fields mirror the cost and
 /// bound values the document itself carries, so the telemetry layer can
 /// gauge measured-cost-over-theorem-bound without re-parsing the reply.
 /// Observation is strictly read-alongside: the returned bytes are

@@ -79,15 +79,9 @@ private:
 };
 
 /// trace::Sink adapter that turns the simulators' phase scopes (and the
-/// direct machine's superstep events) into timed spans. Charge events are
-/// no-ops: spans need none of the base class's exact cost mirror. They are
-/// not free, though. Any attached sink switches the executors to their
-/// traced accessors (HmmSimulator picks HmmShardSource<true>, and the HMM
-/// and BT machines hand every charged word to the sink), so a SpanSink pays
-/// one virtual no-op call per charged *word*, on top of its per-phase
-/// spans. Every serve request attaches one. ROADMAP.md, "Per-layer
-/// wall-clock profile, with phase-only observers kept on the fast path",
-/// tracks the fix.
+/// direct machine's superstep events) into timed spans. It wants no charge
+/// events, so the simulators leave their machines untraced for it and a
+/// SpanSink costs a few clock reads per phase, nothing per charged word.
 ///
 /// Detail is bounded: the first kMaxDetail phase instances are recorded as
 /// individual spans ("superstep[i]" resolution — each simulator round is one
@@ -101,19 +95,7 @@ public:
     /// leg spans share the request-relative timebase.
     explicit SpanSink(std::uint64_t t0_ns) : t0_ns_(t0_ns) {}
 
-    // Charge events: cheap no-ops (see file comment). total() stays 0; the
-    // cost mirror is the AggregateSink's job, not ours.
-    void access(trace::Addr, double) override {}
-    void access_range(std::span<const double>, trace::Addr, trace::Addr) override {}
-    void charge(double) override {}
-    void block_op(std::span<const double>, double, unsigned,
-                  std::initializer_list<trace::AddrRange>) override {}
-    void block_transfer(trace::Addr, trace::Addr, std::uint64_t, double,
-                        double) override {}
-    void messages(std::uint64_t) override {}
-    void shard_begin() override {}
-    void shard_end() override {}
-    void reset_total() override {}
+    bool wants_charges() const override { return false; }
 
     void phase_begin(trace::Phase phase, unsigned label) override;
     void phase_end(trace::Phase phase) override;

@@ -95,25 +95,25 @@ void Sink::phase_end(Phase phase) { on_phase_end(phase, total_); }
 
 void MultiSink::access(Addr x, double cost) {
     Sink::access(x, cost);
-    for (Sink* c : children_) c->access(x, cost);
+    for (Sink* c : chargers_) c->access(x, cost);
 }
 void MultiSink::access_range(std::span<const double> prefix, Addr begin, Addr end) {
     Sink::access_range(prefix, begin, end);
-    for (Sink* c : children_) c->access_range(prefix, begin, end);
+    for (Sink* c : chargers_) c->access_range(prefix, begin, end);
 }
 void MultiSink::charge(double cost) {
     Sink::charge(cost);
-    for (Sink* c : children_) c->charge(cost);
+    for (Sink* c : chargers_) c->charge(cost);
 }
 void MultiSink::block_op(std::span<const double> prefix, double delta, unsigned touches,
                          std::initializer_list<AddrRange> ranges) {
     Sink::block_op(prefix, delta, touches, ranges);
-    for (Sink* c : children_) c->block_op(prefix, delta, touches, ranges);
+    for (Sink* c : chargers_) c->block_op(prefix, delta, touches, ranges);
 }
 void MultiSink::block_transfer(Addr src, Addr dst, std::uint64_t len, double latency,
                                double delta) {
     Sink::block_transfer(src, dst, len, latency, delta);
-    for (Sink* c : children_) c->block_transfer(src, dst, len, latency, delta);
+    for (Sink* c : chargers_) c->block_transfer(src, dst, len, latency, delta);
 }
 void MultiSink::messages(std::uint64_t count) {
     Sink::messages(count);
@@ -135,15 +135,15 @@ void MultiSink::reset_total() {
     for (Sink* c : children_) c->reset_total();
 }
 void MultiSink::shard_begin() {
-    // Bracket this sink's own total and every child's: each folds the
-    // shard's events through the forwarding overrides and rebases
+    // Bracket this sink's own total and every charge-consuming child's: each
+    // folds the shard's events through the forwarding overrides and rebases
     // independently at shard_end.
     Sink::shard_begin();
-    for (Sink* c : children_) c->shard_begin();
+    for (Sink* c : chargers_) c->shard_begin();
 }
 void MultiSink::shard_end() {
     Sink::shard_end();
-    for (Sink* c : children_) c->shard_end();
+    for (Sink* c : chargers_) c->shard_end();
 }
 
 }  // namespace dbsp::trace

@@ -12,7 +12,9 @@
 /// (nullptr by default) and every emission site is guarded by a single
 /// branch on that pointer — no virtual call, no allocation, no work on the
 /// hot path unless a sink is attached (overhead budget verified by
-/// bench_micro, see EXPERIMENTS.md "Harness performance").
+/// bench_micro, see EXPERIMENTS.md "Harness performance"). A sink that only
+/// times phases says so through wants_charges(), and the simulators then
+/// keep it off their machines' charge path.
 ///
 /// Exactness contract: a sink's total() must equal the machine's charged
 /// cost bit for bit. Floating-point addition does not commute, so the base
@@ -137,6 +139,13 @@ public:
     /// Running mirror of the machine's charged cost; equals it bit for bit.
     double total() const { return total_; }
 
+    /// Whether this sink consumes charge events (access, access_range,
+    /// charge, block_op, block_transfer) and shard brackets. The simulators
+    /// attach to their machine only a sink that does (see charge_sink), so a
+    /// phase-only observer leaves them on the untraced per-word path; phase
+    /// scopes, messages and reset_total reach every attached sink.
+    virtual bool wants_charges() const { return true; }
+
 protected:
     /// Attribution hooks, invoked by the default event implementations after
     /// the total has been updated. \p level is kNoLevel for pure compute.
@@ -182,15 +191,32 @@ private:
     Phase phase_;
 };
 
+/// \p sink if it consumes charge events, else nullptr: what a simulator
+/// hands its machine's set_trace.
+inline Sink* charge_sink(Sink* sink) {
+    return sink != nullptr && sink->wants_charges() ? sink : nullptr;
+}
+
 /// Fan-out sink: maintains its own exact total and forwards every event
-/// verbatim to each child, so every child keeps an exact mirror as well.
-/// Used by dbsp_explore to feed the aggregate table and the Chrome trace
-/// writer from a single run.
+/// verbatim to each child that takes it, so every charge-consuming child
+/// keeps an exact mirror as well. Charge events and shard brackets go to the
+/// children that want charges; phase scopes, messages, superstep and
+/// reset_total go to all. It wants charges when any child does. Used by
+/// dbsp_explore to feed the aggregate table and the Chrome trace writer
+/// from a single run, and by the serve runner to put a SpanSink next to a
+/// LocalitySink.
 class MultiSink final : public Sink {
 public:
     MultiSink() = default;
-    MultiSink(std::initializer_list<Sink*> children) : children_(children) {}
-    void add(Sink* child) { children_.push_back(child); }
+    MultiSink(std::initializer_list<Sink*> children) {
+        for (Sink* c : children) add(c);
+    }
+    void add(Sink* child) {
+        children_.push_back(child);
+        if (child->wants_charges()) chargers_.push_back(child);
+    }
+
+    bool wants_charges() const override { return !chargers_.empty(); }
 
     void access(Addr x, double cost) override;
     void access_range(std::span<const double> prefix, Addr begin, Addr end) override;
@@ -210,6 +236,7 @@ public:
 
 private:
     std::vector<Sink*> children_;
+    std::vector<Sink*> chargers_;  ///< the children that want charges
 };
 
 }  // namespace dbsp::trace

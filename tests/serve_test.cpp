@@ -166,6 +166,27 @@ TEST(ServeServer, MalformedInputsGetStructuredErrors) {
     EXPECT_EQ(server.stats().errors, bad.size());
 }
 
+// x^A outside 0 < A < 1 would abort in AccessFunction::polynomial; the
+// request parser rejects it with a structured error naming the range, and
+// the daemon keeps answering.
+TEST(ServeServer, OutOfRangeAccessFunctionGetsStructuredError) {
+    serve::Server server({});
+    for (const char* f : {"x^0", "x^1", "x^2", "x^inf"}) {
+        report::Json req = report::Json::object();
+        req.set("op", "run");
+        req.set("spec", check::serialize_spec(corpus_spec(1)));
+        req.set("f", f);
+        const auto doc = report::Json::parse(server.handle_line(req.dump_compact()));
+        ASSERT_TRUE(doc.has_value()) << f;
+        EXPECT_FALSE((*doc)["ok"].as_bool(true)) << f;
+        EXPECT_NE((*doc)["error"].as_string().find("0 < A < 1"), std::string::npos) << f;
+
+        const auto next = report::Json::parse(server.handle_line(run_line(corpus_spec(1))));
+        ASSERT_TRUE(next.has_value()) << f;
+        EXPECT_TRUE((*next)["ok"].as_bool(false)) << f;
+    }
+}
+
 // PR-9 regression: the deterministic reply contract survives telemetry.
 // A server with the full observability stack enabled (JSONL log, slow-span
 // logging, span ring) must produce byte-identical "dbsp-serve-result-v1"

@@ -300,6 +300,7 @@ TEST(SpanSink, PhaseScopesBecomeSpansAndTailAggregates) {
 
 TEST(SpanSink, ChargeEventsAreIgnoredAndUnmatchedEndsAreSafe) {
     telemetry::SpanSink sink(0);
+    EXPECT_FALSE(sink.wants_charges());
     sink.charge(100.0);
     sink.access(7, 3.0);
     sink.messages(5);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <complex>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "bt/machine.hpp"
 #include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
+#include "core/naive_hmm_simulator.hpp"
 #include "core/self_simulator.hpp"
 #include "core/smoothing.hpp"
 #include "hmm/fft.hpp"
@@ -21,6 +23,7 @@
 #include "hmm/primitives.hpp"
 #include "locality/sink.hpp"
 #include "model/dbsp_machine.hpp"
+#include "telemetry/span.hpp"
 #include "trace/aggregate.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/sink.hpp"
@@ -428,6 +431,154 @@ TEST(TraceMulti, FanOutKeepsEveryChildExact) {
     EXPECT_EQ(aggregate.total(), res.bt_cost);
     EXPECT_EQ(chrome.total(), res.bt_cost);
     EXPECT_GT(chrome.event_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Phase-only observers: a sink whose wants_charges() is false sees the phase
+// scopes but no charge event, and the run charges exactly what an untraced
+// run charges.
+// ---------------------------------------------------------------------------
+
+/// Wants no charges; counts every charge event and shard bracket it still
+/// receives (there must be none), every phase scope and every reset.
+class PhaseOnlySink final : public trace::Sink {
+public:
+    bool wants_charges() const override { return false; }
+    void access(model::Addr, double) override { ++charge_events; }
+    void access_range(std::span<const double>, model::Addr, model::Addr) override {
+        ++charge_events;
+    }
+    void charge(double) override { ++charge_events; }
+    void block_op(std::span<const double>, double, unsigned,
+                  std::initializer_list<trace::AddrRange>) override {
+        ++charge_events;
+    }
+    void block_transfer(model::Addr, model::Addr, std::uint64_t, double, double) override {
+        ++charge_events;
+    }
+    void shard_begin() override { ++charge_events; }
+    void shard_end() override { ++charge_events; }
+    void phase_begin(trace::Phase, unsigned) override { ++phase_events; }
+    void reset_total() override { ++resets; }
+
+    std::uint64_t charge_events = 0;
+    std::uint64_t phase_events = 0;
+    std::uint64_t resets = 0;
+};
+
+TEST(TracePhaseOnly, SimulatorsKeepPhaseOnlySinksOffTheChargePath) {
+    for (const auto& f : case_study_functions()) {
+        const auto hmm = [&](trace::Sink* sink) {
+            auto prog = make_sort_program(64, 47);
+            auto smoothed =
+                core::smooth(*prog, core::hmm_label_set(f, prog->context_words(), 64));
+            core::HmmSimulator::Options options;
+            options.trace = sink;
+            return core::HmmSimulator(f, options).simulate(*smoothed);
+        };
+        PhaseOnlySink hmm_sink;
+        const auto hmm_observed = hmm(&hmm_sink);
+        const auto hmm_plain = hmm(nullptr);
+        EXPECT_EQ(hmm_sink.charge_events, 0u) << f.name();
+        EXPECT_GT(hmm_sink.phase_events, 0u) << f.name();
+        EXPECT_EQ(bits(hmm_observed.hmm_cost), bits(hmm_plain.hmm_cost)) << f.name();
+        EXPECT_EQ(hmm_observed.words_touched, hmm_plain.words_touched) << f.name();
+        EXPECT_EQ(hmm_observed.contexts, hmm_plain.contexts) << f.name();
+
+        // The naive simulator opens no phase scope; it still resets the sink.
+        const auto naive = [&](trace::Sink* sink) {
+            auto prog = make_sort_program(64, 53);
+            core::NaiveHmmSimulator::Options options;
+            options.trace = sink;
+            return core::NaiveHmmSimulator(f, options).simulate(*prog);
+        };
+        PhaseOnlySink naive_sink;
+        const auto naive_observed = naive(&naive_sink);
+        const auto naive_plain = naive(nullptr);
+        EXPECT_EQ(naive_sink.charge_events, 0u) << f.name();
+        EXPECT_GT(naive_sink.resets, 0u) << f.name();
+        EXPECT_EQ(bits(naive_observed.hmm_cost), bits(naive_plain.hmm_cost)) << f.name();
+        EXPECT_EQ(naive_observed.words_touched, naive_plain.words_touched) << f.name();
+        EXPECT_EQ(naive_observed.contexts, naive_plain.contexts) << f.name();
+
+        // BT with sort delivery (bitonic) and with rational-permutation
+        // delivery (FFT-rec declares transpose supersteps; it needs v = 16).
+        for (const bool rational : {false, true}) {
+            const auto bt = [&](trace::Sink* sink) {
+                std::unique_ptr<model::Program> prog;
+                if (rational) {
+                    prog = make_fft_program(16, 59);
+                } else {
+                    prog = make_sort_program(64, 59);
+                }
+                const std::uint64_t v = prog->num_processors();
+                auto smoothed =
+                    core::smooth(*prog, core::bt_label_set(f, prog->context_words(), v));
+                core::BtSimulator::Options options;
+                options.use_rational_permutations = rational;
+                options.trace = sink;
+                return core::BtSimulator(f, options).simulate(*smoothed);
+            };
+            PhaseOnlySink bt_sink;
+            const auto bt_observed = bt(&bt_sink);
+            const auto bt_plain = bt(nullptr);
+            EXPECT_EQ(bt_sink.charge_events, 0u) << f.name() << " rational=" << rational;
+            EXPECT_GT(bt_sink.phase_events, 0u) << f.name() << " rational=" << rational;
+            EXPECT_EQ(bits(bt_observed.bt_cost), bits(bt_plain.bt_cost))
+                << f.name() << " rational=" << rational;
+            EXPECT_EQ(bt_observed.block_transfers, bt_plain.block_transfers) << f.name();
+            EXPECT_EQ(bt_observed.contexts, bt_plain.contexts) << f.name();
+            if (rational) {
+                EXPECT_GT(bt_observed.transpose_invocations, 0u) << f.name();
+            }
+        }
+    }
+}
+
+TEST(TracePhaseOnly, MultiSinkWantsChargesOnlyForAChargeConsumingChild) {
+    telemetry::SpanSink span(0);
+    locality::LocalitySink loc;
+    EXPECT_FALSE(trace::MultiSink{&span}.wants_charges());
+    EXPECT_FALSE(trace::MultiSink{}.wants_charges());
+    EXPECT_TRUE((trace::MultiSink{&span, &loc}.wants_charges()));
+    trace::MultiSink grown{&span};
+    grown.add(&loc);
+    EXPECT_TRUE(grown.wants_charges());
+    EXPECT_EQ(trace::charge_sink(&span), nullptr);
+    EXPECT_EQ(trace::charge_sink(&loc), &loc);
+    EXPECT_EQ(trace::charge_sink(nullptr), nullptr);
+}
+
+TEST(TracePhaseOnly, SpanSinkBesideLocalitySinkLeavesTheProfileExact) {
+    const std::uint64_t v = 64;
+    const auto f = AccessFunction::polynomial(0.5);
+    const auto hmm = [&](trace::Sink* sink) {
+        auto prog = make_sort_program(v, 61);
+        auto smoothed = core::smooth(*prog, core::hmm_label_set(f, prog->context_words(), v));
+        core::HmmSimulator::Options options;
+        options.trace = sink;
+        return core::HmmSimulator(f, options).simulate(*smoothed).hmm_cost;
+    };
+    const auto bt = [&](trace::Sink* sink) {
+        auto prog = make_sort_program(v, 61);
+        auto smoothed = core::smooth(*prog, core::bt_label_set(f, prog->context_words(), v));
+        core::BtSimulator::Options options;
+        options.trace = sink;
+        return core::BtSimulator(f, options).simulate(*smoothed).bt_cost;
+    };
+    for (const auto& run : {std::function<double(trace::Sink*)>(hmm),
+                            std::function<double(trace::Sink*)>(bt)}) {
+        locality::LocalitySink alone;
+        const double cost = run(&alone);
+        telemetry::SpanSink span(telemetry::steady_now_ns());
+        locality::LocalitySink loc;
+        trace::MultiSink multi{&loc, &span};
+        EXPECT_EQ(bits(run(&multi)), bits(cost));
+        EXPECT_TRUE(loc.profile().identical(alone.profile()));
+        EXPECT_EQ(bits(loc.total()), bits(cost));
+        EXPECT_EQ(bits(multi.total()), bits(cost));
+        EXPECT_FALSE(span.take("leg").children.empty());
+    }
 }
 
 // ---------------------------------------------------------------------------

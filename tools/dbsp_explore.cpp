@@ -50,7 +50,6 @@
 /// The serve conformance check compares a daemon reply byte-for-byte against
 /// this output.
 
-#include <charconv>
 #include <complex>
 #include <cstdio>
 #include <cstdlib>
@@ -82,7 +81,7 @@
 #include "trace/chrome_trace.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -112,37 +111,9 @@ using namespace dbsp;
     std::exit(2);
 }
 
-[[noreturn]] void bad_arg(const char* flag, const char* value, const char* expected) {
-    std::fprintf(stderr, "dbsp_explore: invalid %s \"%s\" (expected %s)\n", flag, value,
-                 expected);
-    std::exit(2);
-}
-
-/// Strict base-10 unsigned parse: the whole string must be digits, no sign,
-/// no trailing garbage, no empty string. Exits 2 on violation.
-std::uint64_t parse_u64(const char* flag, const char* value) {
-    std::uint64_t n = 0;
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, n, 10);
-    if (ec != std::errc{} || ptr != end || value == end) {
-        bad_arg(flag, value, "an unsigned integer");
-    }
-    return n;
-}
-
-/// Strict access-function parse: "log" or "x^A" with A a full nonnegative
-/// floating-point literal (no trailing garbage). Exits 2 on violation.
-model::AccessFunction parse_access_function(const char* value) {
-    if (std::strcmp(value, "log") == 0) return model::AccessFunction::logarithmic();
-    if (std::strncmp(value, "x^", 2) == 0 && value[2] != '\0') {
-        char* end = nullptr;
-        const double alpha = std::strtod(value + 2, &end);
-        if (end != nullptr && *end == '\0' && alpha >= 0.0) {
-            return model::AccessFunction::polynomial(alpha);
-        }
-    }
-    bad_arg("--f", value, "x^A with A a nonnegative number, or log");
-}
+constexpr const char* kTool = "dbsp_explore";
+using dbsp::tools::bad_arg;
+using dbsp::tools::parse_u64;
 
 std::unique_ptr<model::Program> make_program(const std::string& name, std::uint64_t v,
                                              std::uint64_t seed) {
@@ -245,7 +216,7 @@ std::vector<locality::CacheGeometry> artifact_geometries(
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (dbsp::tools::handle_version_flag(argc, argv, "dbsp_explore")) return 0;
+    if (dbsp::tools::handle_version_flag(argc, argv, kTool)) return 0;
     std::string program_name = "bitonic";
     std::string model_name = "both";
     std::uint64_t v = 256;
@@ -273,20 +244,23 @@ int main(int argc, char** argv) {
         } else if (arg == "--spec") {
             spec_path = next();
         } else if (arg == "--v") {
-            v = parse_u64("--v", next());
-            if (v == 0) bad_arg("--v", "0", "a positive power of two");
+            v = parse_u64(kTool, "--v", next());
+            if (v == 0) bad_arg(kTool, "--v", "0", "a positive power of two");
         } else if (arg == "--f") {
-            f = parse_access_function(next());
+            const char* value = next();
+            auto parsed = serve::parse_function(value, nullptr);
+            if (!parsed.has_value()) bad_arg(kTool, "--f", value, serve::kFunctionSyntax);
+            f = *std::move(parsed);
         } else if (arg == "--model") {
             model_name = next();
         } else if (arg == "--seed") {
-            seed = parse_u64("--seed", next());
+            seed = parse_u64(kTool, "--seed", next());
         } else if (arg == "--trace") {
             trace_enabled = true;
         } else if (arg.rfind("--trace=", 0) == 0) {
             trace_enabled = true;
             trace_path = arg.substr(std::strlen("--trace="));
-            if (trace_path.empty()) bad_arg("--trace", arg.c_str(), "a file path");
+            if (trace_path.empty()) bad_arg(kTool, "--trace", arg.c_str(), "a file path");
         } else if (arg.rfind("--locality", 0) == 0) {
             // --locality[=path][:sampled[@rate]] — optional JSON output path,
             // optional SHARDS-sampled engine with an optional explicit rate.
@@ -304,7 +278,7 @@ int main(int argc, char** argv) {
                         (*rate_str == '@') ? std::strtod(rate_str + 1, &end) : 0.0;
                     if (*rate_str != '@' || rate_str[1] == '\0' || end == nullptr ||
                         *end != '\0' || !(rate > 0.0) || rate > 1.0) {
-                        bad_arg("--locality", arg.c_str(),
+                        bad_arg(kTool, "--locality", arg.c_str(),
                                 ":sampled or :sampled@R with R in (0, 1]");
                     }
                     locality_rate = rate;
@@ -312,7 +286,7 @@ int main(int argc, char** argv) {
             }
             if (!rest.empty()) {
                 if (rest[0] != '=' || rest.size() == 1) {
-                    bad_arg("--locality", arg.c_str(),
+                    bad_arg(kTool, "--locality", arg.c_str(),
                             "--locality[=path][:sampled[@rate]]");
                 }
                 locality_path = rest.substr(1);
@@ -322,7 +296,7 @@ int main(int argc, char** argv) {
         } else if (arg.rfind("--counters=", 0) == 0) {
             counters_enabled = true;
             counters_path = arg.substr(std::strlen("--counters="));
-            if (counters_path.empty()) bad_arg("--counters", arg.c_str(), "a file path");
+            if (counters_path.empty()) bad_arg(kTool, "--counters", arg.c_str(), "a file path");
         } else if (arg == "--rational") {
             rational = true;
         } else {
@@ -336,7 +310,7 @@ int main(int argc, char** argv) {
     }
     if (model_name != "hmm" && model_name != "bt" && model_name != "both" &&
         model_name != "none") {
-        bad_arg("--model", model_name.c_str(), "hmm, bt, both, or none");
+        bad_arg(kTool, "--model", model_name.c_str(), "hmm, bt, both, or none");
     }
 
     if (!spec_path.empty()) {

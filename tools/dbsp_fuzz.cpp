@@ -39,7 +39,7 @@
 #include "report/json.hpp"
 #include "serve/protocol.hpp"
 #include "util/rng.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -60,15 +60,9 @@ using namespace dbsp;
     std::exit(2);
 }
 
-std::uint64_t parse_u64(const char* argv0, const char* flag, const char* text) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "invalid %s value: %s\n", flag, text);
-        usage(argv0);
-    }
-    return value;
-}
+constexpr const char* kTool = "dbsp_fuzz";
+using dbsp::tools::bad_arg;
+using dbsp::tools::parse_u64;
 
 int run_repro(const std::string& path) {
     check::Repro repro;
@@ -217,7 +211,7 @@ bool reproduces_via_trace(const check::ProgramSpec& spec, const std::string& tag
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (dbsp::tools::handle_version_flag(argc, argv, "dbsp_fuzz")) return 0;
+    if (dbsp::tools::handle_version_flag(argc, argv, kTool)) return 0;
     std::uint64_t seed = 1;
     std::uint64_t iters = 100;
     std::uint64_t max_v = 0;
@@ -233,11 +227,11 @@ int main(int argc, char** argv) {
             return argv[++i];
         };
         if (std::strcmp(arg, "--seed") == 0) {
-            seed = parse_u64(argv[0], "--seed", next());
+            seed = parse_u64(kTool, "--seed", next());
         } else if (std::strcmp(arg, "--iters") == 0) {
-            iters = parse_u64(argv[0], "--iters", next());
+            iters = parse_u64(kTool, "--iters", next());
         } else if (std::strcmp(arg, "--max-v") == 0) {
-            max_v = parse_u64(argv[0], "--max-v", next());
+            max_v = parse_u64(kTool, "--max-v", next());
         } else if (std::strcmp(arg, "--out") == 0) {
             out_dir = next();
         } else if (std::strcmp(arg, "--repro") == 0) {

@@ -46,7 +46,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -65,7 +64,7 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/runner.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -80,21 +79,9 @@ using namespace dbsp;
     std::exit(2);
 }
 
-[[noreturn]] void bad_arg(const char* flag, const char* value, const char* expected) {
-    std::fprintf(stderr, "dbsp_loadgen: invalid %s \"%s\" (expected %s)\n", flag, value,
-                 expected);
-    std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* flag, const char* value) {
-    std::uint64_t n = 0;
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, n, 10);
-    if (ec != std::errc{} || ptr != end || value == end) {
-        bad_arg(flag, value, "an unsigned integer");
-    }
-    return n;
-}
+constexpr const char* kTool = "dbsp_loadgen";
+using dbsp::tools::bad_arg;
+using dbsp::tools::parse_u64;
 
 std::string run_line(const check::ProgramSpec& spec) {
     report::Json req = report::Json::object();
@@ -223,7 +210,7 @@ std::vector<std::string> malformed_lines(const std::string& valid_spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (dbsp::tools::handle_version_flag(argc, argv, "dbsp_loadgen")) return 0;
+    if (dbsp::tools::handle_version_flag(argc, argv, kTool)) return 0;
     std::string socket_path;
     std::string spawn_bin;
     std::string out_path;
@@ -243,14 +230,14 @@ int main(int argc, char** argv) {
         } else if (arg == "--spawn") {
             spawn_bin = next();
         } else if (arg == "--requests") {
-            requests = parse_u64("--requests", next());
-            if (requests == 0) bad_arg("--requests", "0", "a positive count");
+            requests = parse_u64(kTool, "--requests", next());
+            if (requests == 0) bad_arg(kTool, "--requests", "0", "a positive count");
         } else if (arg == "--distinct") {
-            distinct = parse_u64("--distinct", next());
-            if (distinct == 0) bad_arg("--distinct", "0", "a positive count");
+            distinct = parse_u64(kTool, "--distinct", next());
+            if (distinct == 0) bad_arg(kTool, "--distinct", "0", "a positive count");
         } else if (arg == "--batch") {
-            batch = parse_u64("--batch", next());
-            if (batch == 0) bad_arg("--batch", "0", "a positive count");
+            batch = parse_u64(kTool, "--batch", next());
+            if (batch == 0) bad_arg(kTool, "--batch", "0", "a positive count");
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--telemetry") {

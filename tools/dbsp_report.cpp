@@ -47,7 +47,7 @@
 #include "report/experiment.hpp"
 #include "report/json.hpp"
 #include "report/provenance.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 

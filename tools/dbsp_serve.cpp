@@ -31,12 +31,11 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <charconv>
 #include <string>
 
 #include "serve/server.hpp"
 #include "telemetry/logger.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -56,26 +55,14 @@ void handle_signal(int) {
     std::exit(2);
 }
 
-[[noreturn]] void bad_arg(const char* flag, const char* value, const char* expected) {
-    std::fprintf(stderr, "dbsp_serve: invalid %s \"%s\" (expected %s)\n", flag, value,
-                 expected);
-    std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* flag, const char* value) {
-    std::uint64_t n = 0;
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, n, 10);
-    if (ec != std::errc{} || ptr != end || value == end) {
-        bad_arg(flag, value, "an unsigned integer");
-    }
-    return n;
-}
+constexpr const char* kTool = "dbsp_serve";
+using dbsp::tools::bad_arg;
+using dbsp::tools::parse_u64;
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (dbsp::tools::handle_version_flag(argc, argv, "dbsp_serve")) return 0;
+    if (dbsp::tools::handle_version_flag(argc, argv, kTool)) return 0;
     dbsp::serve::Server::Options options;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -86,11 +73,11 @@ int main(int argc, char** argv) {
         if (arg == "--socket") {
             options.socket_path = next();
         } else if (arg == "--cache") {
-            options.cache_entries = parse_u64("--cache", next());
+            options.cache_entries = parse_u64(kTool, "--cache", next());
         } else if (arg == "--max-request-bytes") {
-            options.max_request_bytes = parse_u64("--max-request-bytes", next());
+            options.max_request_bytes = parse_u64(kTool, "--max-request-bytes", next());
             if (options.max_request_bytes == 0) {
-                bad_arg("--max-request-bytes", "0", "a positive byte count");
+                bad_arg(kTool, "--max-request-bytes", "0", "a positive byte count");
             }
         } else if (arg == "--log") {
             options.log_path = next();
@@ -98,22 +85,22 @@ int main(int argc, char** argv) {
             const char* value = next();
             const auto level = dbsp::telemetry::parse_level(value);
             if (!level.has_value()) {
-                bad_arg("--log-level", value, "debug, info, warn, or error");
+                bad_arg(kTool, "--log-level", value, "debug, info, warn, or error");
             }
             options.log_level = *level;
         } else if (arg == "--log-max-bytes") {
-            options.log_max_bytes = parse_u64("--log-max-bytes", next());
+            options.log_max_bytes = parse_u64(kTool, "--log-max-bytes", next());
         } else if (arg == "--slow-ms") {
             const char* value = next();
             char* end = nullptr;
             options.slow_ms = std::strtod(value, &end);
             if (end == value || *end != '\0' || options.slow_ms < 0.0) {
-                bad_arg("--slow-ms", value, "a nonnegative number");
+                bad_arg(kTool, "--slow-ms", value, "a nonnegative number");
             }
         } else if (arg == "--span-ring") {
-            options.span_ring = parse_u64("--span-ring", next());
+            options.span_ring = parse_u64(kTool, "--span-ring", next());
             if (options.span_ring == 0) {
-                bad_arg("--span-ring", "0", "a positive ring size");
+                bad_arg(kTool, "--span-ring", "0", "a positive ring size");
             }
         } else {
             usage(argv[0]);

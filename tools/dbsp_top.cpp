@@ -19,7 +19,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +26,7 @@
 
 #include "report/json.hpp"
 #include "serve/client.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -39,21 +38,9 @@ namespace {
     std::exit(2);
 }
 
-[[noreturn]] void bad_arg(const char* flag, const char* value, const char* expected) {
-    std::fprintf(stderr, "dbsp_top: invalid %s \"%s\" (expected %s)\n", flag, value,
-                 expected);
-    std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* flag, const char* value) {
-    std::uint64_t n = 0;
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, n, 10);
-    if (ec != std::errc{} || ptr != end || value == end) {
-        bad_arg(flag, value, "an unsigned integer");
-    }
-    return n;
-}
+constexpr const char* kTool = "dbsp_top";
+using dbsp::tools::bad_arg;
+using dbsp::tools::parse_u64;
 
 void render_window(const char* name, const dbsp::report::Json& w) {
     std::printf("  %-4s %8.1f %9.2f %9.2f %7.1f %8.0f\n", name,
@@ -129,7 +116,7 @@ void render_frame(const std::string& socket_path, const dbsp::report::Json& f) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (dbsp::tools::handle_version_flag(argc, argv, "dbsp_top")) return 0;
+    if (dbsp::tools::handle_version_flag(argc, argv, kTool)) return 0;
     std::string socket_path;
     std::uint64_t interval_ms = 1000;
     std::uint64_t count = 0;  // 0 = stream until the daemon goes away
@@ -145,20 +132,20 @@ int main(int argc, char** argv) {
         if (arg == "--socket") {
             socket_path = next();
         } else if (arg == "--interval-ms") {
-            interval_ms = parse_u64("--interval-ms", next());
+            interval_ms = parse_u64(kTool, "--interval-ms", next());
             if (interval_ms > 60000) {
-                bad_arg("--interval-ms", "(value)", "at most 60000");
+                bad_arg(kTool, "--interval-ms", "(value)", "at most 60000");
             }
         } else if (arg == "--count") {
-            count = parse_u64("--count", next());
+            count = parse_u64(kTool, "--count", next());
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--spans") {
-            spans = parse_u64("--spans", next());
+            spans = parse_u64(kTool, "--spans", next());
             if (spans == 0 || spans > 1024) {
-                bad_arg("--spans", "(value)", "a count in [1, 1024]");
+                bad_arg(kTool, "--spans", "(value)", "a count in [1, 1024]");
             }
         } else {
             usage(argv[0]);
